@@ -65,7 +65,7 @@ func (s *SCR) degrade(sv []float64, reason DegradedReason, cause error) (*Decisi
 		Via:            ViaFallback,
 		Degraded:       true,
 		DegradedReason: reason,
-		Epoch:          s.statsEpoch(),
+		Epoch:          s.costEpoch(),
 	}, nil
 }
 

@@ -314,7 +314,7 @@ func (d *writeDomain) manageCache(sv []float64, cp *engine.CachedPlan, optCost f
 	// it is only sound when the generation has not advanced since the
 	// optimizer call; after a mid-flight advance the plan is stored
 	// directly (always sound — the check is an optimization).
-	if !s.cfg.StoreAlways && len(d.plans) > 0 && epoch == s.statsEpoch() {
+	if !s.cfg.StoreAlways && len(d.plans) > 0 && epoch == s.costEpoch() {
 		minPE, minCost, err := d.minCostPlan(sv)
 		if err != nil {
 			return err
@@ -485,7 +485,7 @@ func (d *writeDomain) sweepLocked() (int, error) {
 func (d *writeDomain) planIsRedundant(pe *planEntry) (bool, []*instanceEntry, error) {
 	s := d.scr
 	var rebound []*instanceEntry
-	cur := s.statsEpoch()
+	cur := s.costEpoch()
 	for _, e := range d.instances {
 		if e.pp != pe {
 			continue
@@ -546,7 +546,7 @@ func (d *writeDomain) seedLocked(sv []float64, cp *engine.CachedPlan, optCost, s
 	}
 	v := make([]float64, len(sv))
 	copy(v, sv)
-	d.addInstance(newInstance(v, pe, optCost, subOpt, 0, s.statsEpoch()))
+	d.addInstance(newInstance(v, pe, optCost, subOpt, 0, s.costEpoch()))
 	d.publishLocked()
 	return nil
 }

@@ -103,11 +103,11 @@ func (s *SCR) Import(data []byte) error {
 		return fmt.Errorf("%w: import has %d plans, budget is %d", ErrBudgetExhausted, len(byFP), s.cfg.PlanBudget)
 	}
 	var insts []*instanceEntry
-	// Imported anchors are adopted into the engine's current statistics
-	// epoch: importing asserts the snapshot was taken against statistics
+	// Imported anchors are adopted into the engine's current cost epoch:
+	// importing asserts the snapshot was taken against statistics
 	// equivalent to the present store (the pre-epoch semantics). A caller
 	// restoring against drifted statistics should Revalidate afterwards.
-	epoch := s.statsEpoch()
+	epoch := s.costEpoch()
 	for i, ij := range in.Instances {
 		pe, ok := byFP[ij.PlanFP]
 		if !ok {

@@ -46,7 +46,10 @@ type Revalidation struct {
 
 // RevalidationProgress is a point-in-time snapshot of a run's counters.
 type RevalidationProgress struct {
-	// TargetEpoch is the statistics epoch the run revalidates anchors to.
+	// TargetEpoch is the cost epoch the run revalidates anchors to: the
+	// template's EpochEngine.CostEpoch when the run started. It trails the
+	// node's statistics epoch when the advance left the template's
+	// statistics alone; such a run finds nothing lagging (Total 0).
 	TargetEpoch uint64 `json:"targetEpoch"`
 	// Total is the number of lagging instance entries the run set out to
 	// revalidate; Done counts entries fully handled (whatever the outcome).
@@ -70,7 +73,7 @@ type RevalidationProgress struct {
 	Finished   bool `json:"finished"`
 }
 
-// TargetEpoch returns the epoch the run revalidates anchors to.
+// TargetEpoch returns the cost epoch the run revalidates anchors to.
 func (r *Revalidation) TargetEpoch() uint64 { return r.target }
 
 // Progress returns a snapshot of the run's counters.
@@ -118,7 +121,7 @@ func (r *Revalidation) supersede() {
 func (s *SCR) CurrentRevalidation() *Revalidation { return s.reval.Load() }
 
 // Revalidate starts a background revalidation of every instance entry
-// whose anchor lags the engine's current statistics epoch, using a pool
+// whose anchor lags the engine's current cost epoch, using a pool
 // of `workers` goroutines (DefaultRevalidationWorkers when <= 0). It
 // returns immediately with a handle; cancel ctx or let a later
 // Revalidate supersede the run to stop it early. A run already in flight
@@ -170,7 +173,7 @@ func (s *SCR) prepareReval(ctx context.Context) (*revalJob, error) {
 	if s.epochEng == nil {
 		return nil, ErrEpochUnsupported
 	}
-	target := s.statsEpoch()
+	target := s.costEpoch()
 	insts := s.snapshot().instances
 	lag := make([]*instanceEntry, 0)
 	for _, e := range insts {
@@ -327,7 +330,7 @@ func (s *SCR) revalidateEntry(ctx context.Context, r *Revalidation, e *instanceE
 	if e.anc.Load().epoch == r.target {
 		return // already caught up (e.g. replaced by a concurrent insert)
 	}
-	if s.statsEpoch() != r.target {
+	if s.costEpoch() != r.target {
 		r.supersede()
 		return
 	}

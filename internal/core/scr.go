@@ -390,10 +390,22 @@ func NewSCR(eng Engine, cfg Config) (*SCR, error) {
 }
 
 // statsEpoch returns the engine's current statistics epoch id, 0 for
-// epoch-less engines.
+// epoch-less engines: the node generation, reported by Stats and compared
+// with the cluster epoch.
 func (s *SCR) statsEpoch() uint64 {
 	if s.epochEng != nil {
 		return s.epochEng.StatsEpoch()
+	}
+	return 0
+}
+
+// costEpoch returns the engine's current cost epoch, 0 for epoch-less
+// engines: the generation anchors are tagged with and compared against.
+// It only moves when an advance changed a statistic this template's costs
+// read, so the other templates' anchors never lag.
+func (s *SCR) costEpoch() uint64 {
+	if s.epochEng != nil {
+		return s.epochEng.CostEpoch()
 	}
 	return 0
 }
@@ -515,8 +527,9 @@ func (s *SCR) Stats() Stats {
 	st.RevalDroppedInstances = s.ctr.revalDroppedI.Load()
 	st.RevalDroppedPlans = s.ctr.revalDroppedP.Load()
 	st.RevalFailed = s.ctr.revalFailed.Load()
+	ce := s.costEpoch()
 	for _, e := range snap.instances {
-		if e.anc.Load().epoch < st.StatsEpoch {
+		if e.anc.Load().epoch < ce {
 			st.LaggingInstances++
 		}
 	}
@@ -575,13 +588,13 @@ func (s *SCR) recostWithEpoch(pi *engine.PreparedInstance, cp *engine.CachedPlan
 	return c, 0, err
 }
 
-// prepareEpoch returns the epoch a prepared instance is pinned to; for
-// the non-batched path it falls back to the engine's current epoch.
+// prepareEpoch returns the cost epoch a prepared instance is pinned to;
+// for the non-batched path it falls back to the engine's current one.
 func (s *SCR) prepareEpoch(pi *engine.PreparedInstance) uint64 {
 	if pi != nil {
 		return pi.EpochID()
 	}
-	return s.statsEpoch()
+	return s.costEpoch()
 }
 
 // Process implements Technique: getPlan under the read lock, then — on a
@@ -857,7 +870,7 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot) (*
 	}
 
 	insts := snap.instances
-	cur := s.statsEpoch()
+	cur := s.costEpoch()
 	type cand struct {
 		e  *instanceEntry
 		a  *anchor
@@ -1037,7 +1050,7 @@ func (s *SCR) ProbeCheck(sv []float64) Check {
 		gl float64
 		l  float64
 	}
-	cur := s.statsEpoch()
+	cur := s.costEpoch()
 	var cands []cand
 	for _, e := range insts {
 		a := e.anc.Load()

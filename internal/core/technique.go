@@ -75,9 +75,12 @@ type Decision struct {
 	// unless Degraded.
 	DegradedReason DegradedReason
 	// Epoch is the id of the statistics epoch the decision's guarantee is
-	// stated against: the epoch of the anchor instance that inferred the
-	// plan (selectivity/cost check) or the epoch the optimizer call ran
-	// under. During revalidation lag an entry anchored under the previous
+	// stated against: the cost epoch (EpochEngine.CostEpoch) of the anchor
+	// instance that inferred the plan (selectivity/cost check) or of the
+	// optimizer call. It trails the node's StatsEpoch for a template whose
+	// statistics did not move in the later advances — its costs are the
+	// same under every epoch since, so the guarantee holds against all of
+	// them. During revalidation lag an entry anchored under an older cost
 	// epoch may serve with its old id — the λ bound then holds against
 	// that generation's statistics, not the newest. Zero when the engine
 	// has no epoch lifecycle.
@@ -201,8 +204,8 @@ type Stats struct {
 	InjectedFaults int64
 	// StatsEpoch is the engine's current statistics epoch id (zero when
 	// the engine has no epoch lifecycle); LaggingInstances counts cached
-	// instance entries whose anchors were computed under an older epoch
-	// and await revalidation.
+	// instance entries whose anchors were computed under an older cost
+	// epoch than the engine's current one and await revalidation.
 	StatsEpoch       uint64
 	LaggingInstances int64
 	// Revalidation counters: anchors re-derived under a new epoch
@@ -275,11 +278,17 @@ type BatchEngine interface {
 // permanently at epoch 0.
 type EpochEngine interface {
 	Engine
-	// StatsEpoch returns the id of the current statistics epoch.
+	// StatsEpoch returns the id of the current statistics epoch: the
+	// node generation.
 	StatsEpoch() uint64
-	// OptimizeEpoch is Optimize plus the epoch the search ran under.
+	// CostEpoch returns the id of the newest epoch that changed any
+	// statistic this engine's costs read. Costs are identical across
+	// epochs sharing a cost epoch, so anchors, decisions and the lag test
+	// use it; it never exceeds StatsEpoch.
+	CostEpoch() uint64
+	// OptimizeEpoch is Optimize plus the cost epoch the search ran under.
 	OptimizeEpoch(sv []float64) (*engine.CachedPlan, float64, uint64, error)
-	// RecostEpoch is Recost plus the epoch the cost was derived under.
+	// RecostEpoch is Recost plus the cost epoch the cost was derived under.
 	RecostEpoch(cp *engine.CachedPlan, sv []float64) (float64, uint64, error)
 }
 

@@ -54,9 +54,13 @@ type TemplateEngine struct {
 	optCalls    atomic.Int64
 	recostCalls atomic.Int64
 
-	// rc memoizes recost results per (plan fingerprint, sv hash). Valid
-	// until the statistics store changes; see FlushRecostCache.
+	// rc memoizes recost results per (plan fingerprint, sv hash, cost
+	// epoch); see recostKey.
 	rc recostCache
+
+	// footprint lists the histogram columns the template's constant
+	// predicates read (query.Template.Footprint); CostEpoch derives from it.
+	footprint []string
 }
 
 // NewTemplateEngine builds an engine for tpl over an existing optimizer.
@@ -64,7 +68,7 @@ func NewTemplateEngine(tpl *query.Template, opt *memo.Optimizer) (*TemplateEngin
 	if err := tpl.Validate(); err != nil {
 		return nil, err
 	}
-	return &TemplateEngine{Tpl: tpl, Opt: opt}, nil
+	return &TemplateEngine{Tpl: tpl, Opt: opt, footprint: tpl.Footprint()}, nil
 }
 
 // Dimensions returns the template's parameter count d.
@@ -77,9 +81,9 @@ func (e *TemplateEngine) Optimize(sv []float64) (*CachedPlan, float64, error) {
 	return cp, c, err
 }
 
-// OptimizeEpoch is Optimize plus the id of the statistics epoch the search
-// ran under, so callers recording the result (e.g. a plan-cache anchor)
-// can tag it with the generation its cost is valid for.
+// OptimizeEpoch is Optimize plus the cost epoch the search ran under, so
+// callers recording the result (e.g. a plan-cache anchor) can tag it with
+// the generation its cost is valid for.
 func (e *TemplateEngine) OptimizeEpoch(sv []float64) (*CachedPlan, float64, uint64, error) {
 	start := time.Now()
 	p, c, epoch, err := e.Opt.OptimizeEpoch(e.Tpl, sv)
@@ -103,10 +107,10 @@ func (e *TemplateEngine) Recost(cp *CachedPlan, sv []float64) (float64, error) {
 	return c, err
 }
 
-// RecostEpoch is Recost plus the id of the statistics epoch the cost was
-// derived under. It routes through the prepared-instance path so the
-// pinned environment, the returned epoch and the recost-cache key all name
-// the same generation even if AdvanceEpoch lands concurrently.
+// RecostEpoch is Recost plus the cost epoch the cost was derived under. It
+// routes through the prepared-instance path so the pinned environment, the
+// returned epoch and the recost-cache key all name the same generation
+// even if AdvanceEpoch lands concurrently.
 func (e *TemplateEngine) RecostEpoch(cp *CachedPlan, sv []float64) (float64, uint64, error) {
 	if cp == nil {
 		return 0, 0, fmt.Errorf("engine: recost of nil cached plan")
@@ -126,6 +130,13 @@ func (e *TemplateEngine) RecostEpoch(cp *CachedPlan, sv []float64) (float64, uin
 // StatsEpoch returns the id of the current statistics epoch.
 func (e *TemplateEngine) StatsEpoch() uint64 { return e.Opt.Epoch().ID }
 
+// CostEpoch returns the template's current cost epoch: the id of the
+// newest statistics epoch that installed a new histogram for a column the
+// template's constant predicates read, or 1 if none did. Every cost, plan
+// and recost of the template is identical across epochs sharing a cost
+// epoch, so it tags derived costs in place of StatsEpoch.
+func (e *TemplateEngine) CostEpoch() uint64 { return e.Opt.Epoch().CostEpoch(e.footprint) }
+
 // RecostCacheCounters reports cumulative recost-cache hits and misses.
 func (e *TemplateEngine) RecostCacheCounters() (hits, misses int64) {
 	return e.rc.counters()
@@ -133,9 +144,10 @@ func (e *TemplateEngine) RecostCacheCounters() (hits, misses int64) {
 
 // AdvanceEpoch installs st as the next statistics generation and returns
 // the new epoch. No cache flush is needed: recost results are keyed by
-// epoch id, so entries from previous generations simply stop matching and
-// age out under the shard-capacity sweep. The cacheinvalidation analyzer
-// accepts AdvanceEpoch as a legal alternative to FlushRecostCache
+// cost epoch, so a template whose footprint changed stops matching its old
+// entries (they age out under the shard-capacity sweep), and a template
+// whose footprint did not change keeps them. The cacheinvalidation
+// analyzer requires every statistics swap to go through AdvanceEpoch
 // (docs/LINT.md).
 func (e *TemplateEngine) AdvanceEpoch(st *stats.Store) *stats.Epoch {
 	return e.Opt.AdvanceEpoch(st)
@@ -147,14 +159,6 @@ func (e *TemplateEngine) AdvanceEpoch(st *stats.Store) *stats.Epoch {
 func (e *TemplateEngine) SetStats(st *stats.Store) {
 	e.AdvanceEpoch(st)
 }
-
-// FlushRecostCache drops every cached recost result wholesale. With
-// epoch-keyed entries this is never required for correctness — a stats
-// swap through AdvanceEpoch invalidates by construction — but it remains
-// available to reclaim memory eagerly (e.g. after a template is retired).
-// It must not be called on a serving path; pqolint's cacheinvalidation
-// analyzer rejects calls from internal/core.
-func (e *TemplateEngine) FlushRecostCache() { e.rc.flush() }
 
 // EnvPoolCounters reports the optimizer's pooled-environment accounting:
 // environments handed out and pool reuses.

@@ -64,44 +64,72 @@ func TestEngineOptimizeAndRecost(t *testing.T) {
 	}
 }
 
+// TestSetStatsFlushesRecostCache checks that a statistics swap never
+// serves a stale recost: a template whose constant predicate reads a
+// replaced histogram must miss the recost cache afterwards. The converse
+// holds too: a template with no footprint has identical costs under the
+// new store, so its entries stay valid and keep hitting.
 func TestSetStatsFlushesRecostCache(t *testing.T) {
 	sys, tpl := testSystem(t)
-	eng, err := sys.EngineFor(tpl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	constTpl := *tpl
+	constTpl.Name = "q2d_const"
+	constTpl.Preds = append(append([]query.Predicate(nil), tpl.Preds...),
+		query.Predicate{Table: "orders", Column: "o_totalprice", Op: query.GE, Param: -1, Value: 1000})
 	sv := []float64{0.05, 0.1}
-	cp, _, err := eng.Optimize(sv)
-	if err != nil {
-		t.Fatal(err)
+	type warm struct {
+		eng *TemplateEngine
+		cp  *CachedPlan
 	}
-	// First recost fills the cache; the second must hit it.
-	if _, err := eng.Recost(cp, sv); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Recost(cp, sv); err != nil {
-		t.Fatal(err)
-	}
-	hits, _ := eng.RecostCacheCounters()
-	if hits == 0 {
-		t.Fatal("expected a recost-cache hit before the stats swap")
+	var engs []warm
+	for _, tp := range []*query.Template{tpl, &constTpl} {
+		eng, err := sys.EngineFor(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, _, err := eng.Optimize(sv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// First recost fills the cache; the second must hit it.
+		for i := 0; i < 2; i++ {
+			if _, err := eng.Recost(cp, sv); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if hits, _ := eng.RecostCacheCounters(); hits == 0 {
+			t.Fatalf("%s: expected a recost-cache hit before the stats swap", tp.Name)
+		}
+		engs = append(engs, warm{eng, cp})
 	}
 
-	// Swap in a statistics store built from different data: the swap must
-	// flush the cache, so the next identical recost misses.
+	// Swap in a statistics store built from different data: every
+	// histogram is replaced, so the constant template's cost epoch moves.
 	sys2, err := NewSystem(catalog.NewTPCH(0.1), 43)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.SetStats(sys2.Stats)
-	_, missesBefore := eng.RecostCacheCounters()
-	if _, err := eng.Recost(cp, sv); err != nil {
-		t.Fatal(err)
+	engs[0].eng.SetStats(sys2.Stats)
+	for i, w := range engs {
+		wantMiss := i == 1
+		hitsBefore, missesBefore := w.eng.RecostCacheCounters()
+		if _, err := w.eng.Recost(w.cp, sv); err != nil {
+			t.Fatal(err)
+		}
+		hitsAfter, missesAfter := w.eng.RecostCacheCounters()
+		switch {
+		case wantMiss && missesAfter != missesBefore+1:
+			t.Errorf("%s: recost after SetStats hit the cache (misses %d -> %d); stale cost served",
+				w.eng.Tpl.Name, missesBefore, missesAfter)
+		case !wantMiss && hitsAfter != hitsBefore+1:
+			t.Errorf("%s: recost after SetStats missed (hits %d -> %d); a template with no footprint must keep its entries",
+				w.eng.Tpl.Name, hitsBefore, hitsAfter)
+		}
 	}
-	_, missesAfter := eng.RecostCacheCounters()
-	if missesAfter != missesBefore+1 {
-		t.Errorf("recost after SetStats hit the cache (misses %d -> %d); stale cost served",
-			missesBefore, missesAfter)
+	if got, want := engs[0].eng.CostEpoch(), uint64(1); got != want {
+		t.Errorf("footprint-free cost epoch = %d, want %d", got, want)
+	}
+	if got, want := engs[1].eng.CostEpoch(), engs[1].eng.StatsEpoch(); got != want {
+		t.Errorf("constant template cost epoch = %d, want the new epoch %d", got, want)
 	}
 }
 

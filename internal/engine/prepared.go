@@ -25,9 +25,9 @@ type PreparedInstance struct {
 	svh uint64
 }
 
-// EpochID returns the statistics-epoch id this instance was prepared
-// under. Every Recost through the instance is computed — and cached —
-// against exactly this generation.
+// EpochID returns the cost epoch this instance was prepared under
+// (TemplateEngine.CostEpoch at preparation). Every Recost through the
+// instance is computed — and cached — against exactly this generation.
 func (pi *PreparedInstance) EpochID() uint64 { return pi.env.EpochID() }
 
 var preparedPool = sync.Pool{New: func() any { return new(PreparedInstance) }}

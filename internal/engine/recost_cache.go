@@ -8,11 +8,12 @@ import (
 
 // recostKey identifies one (plan, instance, statistics generation) recost
 // result: the plan's structural fingerprint (precomputed by plan.New, so
-// keying allocates nothing), the selectivity vector's hash, and the
-// statistics-epoch id the cost was derived under. Keying by epoch makes a
-// stats advance invalidation-free: entries from the previous generation
-// can never satisfy lookups made under the new one and age out under the
-// shard-capacity sweep instead of a global flush.
+// keying allocates nothing), the selectivity vector's hash, and the cost
+// epoch the cost was derived under. Keying by cost epoch makes a stats
+// advance invalidation-free and exact: entries of a template whose
+// footprint changed can never satisfy lookups made under the new
+// generation and age out under the shard-capacity sweep, while entries of
+// every other template keep hitting.
 type recostKey struct {
 	fp    string
 	svh   uint64
@@ -42,8 +43,8 @@ type recostShard struct {
 }
 
 // recostCache memoizes Recost results per engine. Recost is deterministic
-// in (plan, sv, statistics), so entries stay valid until the statistics
-// store is rebuilt — the owner must flush on stats reload. The hit/miss
+// in (plan, sv, footprint histograms), so an entry stays valid for as long
+// as its cost epoch is current. The hit/miss
 // counters are bumped by every cost-check recost on the serving path, so
 // they are striped: a shared atomic pair here would put all cores back on
 // the same two cache lines the shard locks just avoided.
@@ -113,16 +114,6 @@ func (c *recostCache) put(k recostKey, sv []float64, cost float64) {
 	}
 	s.m[k] = recostEntry{cost: cost, sv: svCopy}
 	s.mu.Unlock()
-}
-
-// flush drops every entry; counters are preserved.
-func (c *recostCache) flush() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.m = nil
-		s.mu.Unlock()
-	}
 }
 
 func (c *recostCache) counters() (hits, misses int64) {

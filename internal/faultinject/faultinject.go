@@ -235,6 +235,7 @@ type cacheReporter interface {
 // epochEngine mirrors core.EpochEngine's epoch surface.
 type epochEngine interface {
 	StatsEpoch() uint64
+	CostEpoch() uint64
 	OptimizeEpoch(sv []float64) (*engine.CachedPlan, float64, uint64, error)
 	RecostEpoch(cp *engine.CachedPlan, sv []float64) (float64, uint64, error)
 }
@@ -323,6 +324,15 @@ func (e *FaultyEngine) InjectedFaults() int64 { return e.inj.Injected() }
 func (e *FaultyEngine) StatsEpoch() uint64 {
 	if ee, ok := e.inner.(epochEngine); ok {
 		return ee.StatsEpoch()
+	}
+	return 0
+}
+
+// CostEpoch implements core.EpochEngine by delegation, 0 for an
+// epoch-less inner engine like StatsEpoch.
+func (e *FaultyEngine) CostEpoch() uint64 {
+	if ee, ok := e.inner.(epochEngine); ok {
+		return ee.CostEpoch()
 	}
 	return 0
 }

@@ -1,22 +1,18 @@
 // Package cacheinvalidation checks that every mutation of an engine's or
-// optimizer's statistics/catalog reference is post-dominated by a recost
-// cache invalidation. The recost result cache memoizes costs that are
+// optimizer's statistics/catalog reference is post-dominated by an
+// AdvanceEpoch call. The recost result cache memoizes costs that are
 // deterministic in (plan, sv, statistics); swapping the statistics store
-// without invalidating leaves stale costs behind, which silently corrupts
-// the cost check and with it the λ-guarantee (docs/PERF.md, docs/LINT.md).
-//
-// Two calls invalidate: FlushRecostCache (drop everything) and
-// AdvanceEpoch (install the swap as a new statistics generation — cached
-// results are keyed by epoch id, so stale entries stop matching by
-// construction and age out; docs/STATS.md). Inside internal/core only the
-// epoch form is legal: the serving path must never pay a wholesale flush,
-// so any FlushRecostCache call there is reported outright.
+// outside the epoch lifecycle leaves stale costs behind, which silently
+// corrupts the cost check and with it the λ-guarantee (docs/PERF.md,
+// docs/LINT.md). AdvanceEpoch installs the swap as a new statistics
+// generation: cached results are keyed by cost epoch, so entries whose
+// statistics changed stop matching by construction and age out
+// (docs/STATS.md).
 package cacheinvalidation
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/ctrlflow"
@@ -29,9 +25,8 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "cacheinvalidation",
-	Doc: "require FlushRecostCache or AdvanceEpoch on every path after a " +
-		"stats/catalog swap on an engine or optimizer; ban wholesale " +
-		"flushes from internal/core",
+	Doc: "require AdvanceEpoch on every path after a stats/catalog swap " +
+		"on an engine or optimizer",
 	Requires: []*analysis.Analyzer{inspect.Analyzer, ctrlflow.Analyzer},
 	Run:      run,
 }
@@ -40,11 +35,10 @@ var Analyzer = &analysis.Analyzer{
 // cached recost results.
 var mutatedFields = map[string]bool{"Stats": true, "Cat": true, "Catalog": true}
 
-// flushNames are calls that perform the invalidation. The unexported
-// rc.flush() form covers the engine package's own internals; AdvanceEpoch
+// advanceName is the call that performs the invalidation: AdvanceEpoch
 // invalidates by construction because cached recost results are keyed by
-// epoch id.
-var flushNames = map[string]bool{"FlushRecostCache": true, "flush": true, "AdvanceEpoch": true}
+// cost epoch.
+const advanceName = "AdvanceEpoch"
 
 // ownerTypeNames are the types whose Stats/Cat fields feed cost
 // computation (matched by name so fixtures can stub them).
@@ -66,20 +60,6 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		checkFunc(pass, fd, g)
 	})
-
-	// The serving-path ban: internal/core holds the hot path, where a
-	// wholesale flush turns one stats refresh into a cache-wide cost
-	// recomputation storm. Epoch advances make the flush unnecessary, so
-	// inside core it is plain illegal.
-	if strings.HasSuffix(pass.Pkg.Path(), "internal/core") {
-		ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
-			call := n.(*ast.CallExpr)
-			if methodName(call) == "FlushRecostCache" {
-				lintutil.Report(pass, call.Pos(),
-					"internal/core must not call FlushRecostCache; advance the statistics epoch instead — epoch-keyed recost entries age out without a hot-path flush")
-			}
-		})
-	}
 	return nil, nil
 }
 
@@ -100,7 +80,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, g *cfg.CFG) {
 			if !isCostOwner(pass.TypesInfo.TypeOf(sel.X)) {
 				continue
 			}
-			checkFlushed(pass, g, as, sel.Sel.Name)
+			checkAdvanced(pass, g, as, sel.Sel.Name)
 		}
 		return true
 	})
@@ -122,34 +102,32 @@ func isCostOwner(t types.Type) bool {
 	return ownerTypeNames[named.Obj().Name()]
 }
 
-// checkFlushed verifies that every path from the mutation to function exit
-// passes a flush call (post-domination on the CFG). A deferred flush also
-// satisfies the check.
-func checkFlushed(pass *analysis.Pass, g *cfg.CFG, as *ast.AssignStmt, field string) {
+// checkAdvanced verifies that every path from the mutation to function
+// exit passes an AdvanceEpoch call (post-domination on the CFG). A
+// deferred advance also satisfies the check.
+func checkAdvanced(pass *analysis.Pass, g *cfg.CFG, as *ast.AssignStmt, field string) {
 	blk, idx, ok := lintutil.FindNode(g, as)
 	if !ok {
 		return
 	}
-	isFlush := func(n ast.Node) bool {
+	isAdvance := func(n ast.Node) bool {
 		found := false
 		ast.Inspect(n, func(c ast.Node) bool {
-			if call, ok := c.(*ast.CallExpr); ok {
-				if name := methodName(call); flushNames[name] {
-					found = true
-				}
+			if call, ok := c.(*ast.CallExpr); ok && methodName(call) == advanceName {
+				found = true
 			}
 			return !found
 		})
 		return found
 	}
-	if pos, leak := lintutil.LeaksToExit(blk, idx+1, isFlush, nil, nil); leak {
+	if pos, leak := lintutil.LeaksToExit(blk, idx+1, isAdvance, nil, nil); leak {
 		detail := ""
 		if pos.IsValid() {
-			detail = " (unflushed path escapes near line " +
+			detail = " (path without an advance escapes near line " +
 				itoa(pass.Fset.Position(pos).Line) + ")"
 		}
 		lintutil.Report(pass, as.Pos(),
-			"%s swapped without FlushRecostCache on every following path%s; stale cached costs corrupt the cost check", field, detail)
+			"%s swapped without AdvanceEpoch on every following path%s; stale cached costs corrupt the cost check", field, detail)
 	}
 }
 

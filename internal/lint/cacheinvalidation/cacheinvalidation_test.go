@@ -8,5 +8,5 @@ import (
 )
 
 func TestCacheInvalidation(t *testing.T) {
-	linttest.Run(t, cacheinvalidation.Analyzer, "a", "internal/core")
+	linttest.Run(t, cacheinvalidation.Analyzer, "a")
 }

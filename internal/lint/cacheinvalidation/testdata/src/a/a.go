@@ -1,5 +1,5 @@
 // Fixture for the cacheinvalidation analyzer: stats/catalog swaps on
-// cost-owning types must be post-dominated by a recost-cache flush.
+// cost-owning types must be post-dominated by an epoch advance.
 package a
 
 type Store struct{ N int }
@@ -13,62 +13,51 @@ type TemplateEngine struct {
 	Opt *Optimizer
 }
 
-func (e *TemplateEngine) FlushRecostCache() {}
-
 type Epoch struct{ ID int }
 
 func (e *TemplateEngine) AdvanceEpoch(st *Store) *Epoch { return &Epoch{} }
 
-// goodSwapThenFlush is the required pattern.
-func goodSwapThenFlush(e *TemplateEngine, st *Store) {
-	e.Opt.Stats = st
-	e.FlushRecostCache()
-}
-
-// goodSwapThenAdvance: an epoch advance invalidates by construction —
-// cached recost results are keyed by epoch id — so it satisfies the check
-// without a flush.
+// goodSwapThenAdvance is the required pattern: an epoch advance
+// invalidates by construction — cached recost results are keyed by cost
+// epoch.
 func goodSwapThenAdvance(e *TemplateEngine, st *Store) {
 	e.Opt.Stats = st
 	e.AdvanceEpoch(st)
 }
 
-// goodSwapAdvanceOneFlushOther: the two invalidation forms mix freely.
-func goodSwapAdvanceOneFlushOther(e *TemplateEngine, st *Store, cond bool) {
+// goodSwapAdvanceBothPaths advances on every path.
+func goodSwapAdvanceBothPaths(e *TemplateEngine, st *Store, cond bool) {
 	e.Opt.Stats = st
 	if cond {
 		e.AdvanceEpoch(st)
 		return
 	}
-	e.FlushRecostCache()
+	e.AdvanceEpoch(st)
 }
 
-// goodSwapFlushBothPaths flushes on every path.
-func goodSwapFlushBothPaths(e *TemplateEngine, st *Store, cond bool) {
+// goodSwapDeferredAdvance: an advance deferred after the swap runs on
+// every exit.
+func goodSwapDeferredAdvance(e *TemplateEngine, st *Store) {
 	e.Opt.Stats = st
-	if cond {
-		e.FlushRecostCache()
-		return
-	}
-	e.FlushRecostCache()
+	defer e.AdvanceEpoch(st)
 }
 
-// badSwapNoFlush leaves stale cached costs behind.
-func badSwapNoFlush(e *TemplateEngine, st *Store) {
-	e.Opt.Stats = st // want `Stats swapped without FlushRecostCache`
+// badSwapNoAdvance leaves stale cached costs behind.
+func badSwapNoAdvance(e *TemplateEngine, st *Store) {
+	e.Opt.Stats = st // want `Stats swapped without AdvanceEpoch`
 }
 
-// badSwapFlushOneBranch misses the else path.
-func badSwapFlushOneBranch(e *TemplateEngine, st *Store, cond bool) {
-	e.Opt.Stats = st // want `Stats swapped without FlushRecostCache`
+// badSwapAdvanceOneBranch misses the else path.
+func badSwapAdvanceOneBranch(e *TemplateEngine, st *Store, cond bool) {
+	e.Opt.Stats = st // want `Stats swapped without AdvanceEpoch`
 	if cond {
-		e.FlushRecostCache()
+		e.AdvanceEpoch(st)
 	}
 }
 
 // badCatalogSwap: the catalog reference is cost-bearing too.
 func badCatalogSwap(o *Optimizer, c *Store) {
-	o.Cat = c // want `Cat swapped without FlushRecostCache`
+	o.Cat = c // want `Cat swapped without AdvanceEpoch`
 }
 
 // goodUnrelatedField: only Stats/Cat/Catalog swaps are tracked.

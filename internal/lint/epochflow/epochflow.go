@@ -60,10 +60,11 @@ var (
 		"recostWith": true, "recostWithEpoch": true, "safeRecost": true,
 	}
 	recostEpochFuncs = map[string]bool{"recostWithEpoch": true}
-	// epochFuncs return the current statistics epoch.
+	// epochFuncs return the current statistics or cost epoch.
 	epochFuncs = map[string]bool{
 		"EpochID": true, "StatsEpoch": true, "RecostEpoch": true,
 		"statsEpoch": true, "prepareEpoch": true,
+		"CostEpoch": true, "costEpoch": true,
 	}
 )
 

@@ -26,6 +26,8 @@ type store struct {
 
 func (st *store) statsEpoch() uint64 { return st.cur }
 
+func (st *store) costEpoch() uint64 { return st.cur }
+
 func recostWithEpoch(fp string) (float64, uint64, error) { return 1, 0, nil }
 
 func Recost(fp string) float64 { return 1 }
@@ -70,6 +72,15 @@ func guardedByParam(a anchor, epoch uint64) bool {
 	return Recost("f") < a.c
 }
 
+// guardedByCostEpoch checks the template's cost epoch against one pinned
+// earlier before comparing: compliant.
+func guardedByCostEpoch(st *store, a anchor, pinned uint64) bool {
+	if st.costEpoch() != pinned {
+		return false
+	}
+	return Recost("f") < a.c
+}
+
 // unguarded divides a fresh recost by an anchor cost with no epoch check:
 // the recost may be from a newer statistics generation than the anchor.
 func unguarded(a anchor) bool {
@@ -92,6 +103,7 @@ var (
 	_ = mkBad
 	_ = guarded
 	_ = guardedByParam
+	_ = guardedByCostEpoch
 	_ = unguarded
 	_ = bootstrap
 )

@@ -29,6 +29,8 @@ type tplMeta struct {
 	tableIdx map[string]int
 	edges    []metaEdge
 	dims     int
+	// footprint is the template's statistics footprint (Template.Footprint).
+	footprint []string
 }
 
 // metaTable is the per-table slice of a template's metadata.
@@ -83,9 +85,10 @@ func metaFor(tpl *query.Template) *tplMeta {
 func buildMeta(tpl *query.Template) *tplMeta {
 	n := len(tpl.Tables)
 	m := &tplMeta{
-		tables:   make([]metaTable, n),
-		tableIdx: make(map[string]int, n),
-		dims:     tpl.Dimensions(),
+		tables:    make([]metaTable, n),
+		tableIdx:  make(map[string]int, n),
+		dims:      tpl.Dimensions(),
+		footprint: tpl.Footprint(),
 	}
 	for i, name := range tpl.Tables {
 		m.tableIdx[name] = i
@@ -139,8 +142,9 @@ func buildMeta(tpl *query.Template) *tplMeta {
 type Env struct {
 	Tpl  *query.Template
 	meta *tplMeta
-	// epoch is the statistics-epoch id the environment was prepared under
-	// (0 for NewEnv-built environments over a bare store).
+	// epoch is the cost epoch of Tpl at the statistics epoch the
+	// environment was prepared under (0 for NewEnv-built environments over
+	// a bare store).
 	epoch uint64
 	// predSel[i] is the selectivity of Tpl.Preds[i].
 	predSel []float64
@@ -261,18 +265,22 @@ func (o *Optimizer) PrepareEnv(tpl *query.Template, sv []float64) (*Env, error) 
 		atomic.AddInt64(&o.envReuses, 1)
 	}
 	// One atomic load pins the (id, store) pair for the whole environment:
-	// every selectivity this Env answers comes from the same generation.
+	// every selectivity this Env answers comes from the same generation,
+	// and so does the cost epoch it is tagged with.
 	ep := o.epoch.Load()
 	if err := e.reset(tpl, sv, ep.Store); err != nil {
 		envPool.Put(e)
 		return nil, err
 	}
-	e.epoch = ep.ID
+	e.epoch = ep.CostEpoch(e.meta.footprint)
 	return e, nil
 }
 
-// EpochID returns the statistics-epoch id the environment was prepared
-// under; 0 for environments built directly with NewEnv.
+// EpochID returns the cost epoch the environment was prepared under: the
+// newest statistics epoch that changed a histogram the template's
+// constant predicates read (stats.Epoch.CostEpoch). Every cost derived
+// through the environment is identical under any epoch sharing this id.
+// It is 0 for environments built directly with NewEnv.
 func (e *Env) EpochID() uint64 { return e.epoch }
 
 // ReleaseEnv returns a pooled environment to the pool. nil is a no-op.

@@ -67,14 +67,16 @@ func (o *Optimizer) StatsStore() *stats.Store { return o.epoch.Load().Store }
 // calls that already prepared their environment finish under the epoch
 // they started with; new preparations observe the new epoch.
 //
-// Unlike a bare stats swap, advancing needs no recost-cache flush: the
-// engine layer keys cached recost results by epoch id, so entries from
-// previous generations can never satisfy lookups made under the new one
-// and simply age out.
+// The new epoch records which columns it changed (stats.Epoch.Next), so
+// each template's cost epoch moves only when a histogram its constant
+// predicates read was replaced. The engine layer keys cached recost
+// results by cost epoch: entries of a template whose statistics did not
+// move stay valid, and entries of one whose statistics did can never
+// satisfy lookups made under the new generation.
 func (o *Optimizer) AdvanceEpoch(st *stats.Store) *stats.Epoch {
 	for {
 		cur := o.epoch.Load()
-		next := &stats.Epoch{ID: cur.ID + 1, Store: st}
+		next := cur.Next(st)
 		if o.epoch.CompareAndSwap(cur, next) {
 			return next
 		}
@@ -198,10 +200,10 @@ func (o *Optimizer) Optimize(tpl *query.Template, sv []float64) (*plan.Plan, flo
 	return p, c, err
 }
 
-// OptimizeEpoch is Optimize plus the id of the statistics epoch the search
-// ran under. The epoch is pinned once when the environment is prepared, so
-// the returned plan, cost and id are mutually consistent even if
-// AdvanceEpoch lands mid-search.
+// OptimizeEpoch is Optimize plus the cost epoch of tpl at the statistics
+// epoch the search ran under (Env.EpochID). The epoch is pinned once when
+// the environment is prepared, so the returned plan, cost and id are
+// mutually consistent even if AdvanceEpoch lands mid-search.
 func (o *Optimizer) OptimizeEpoch(tpl *query.Template, sv []float64) (*plan.Plan, float64, uint64, error) {
 	env, err := o.PrepareEnv(tpl, sv)
 	if err != nil {

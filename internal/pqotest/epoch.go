@@ -51,6 +51,10 @@ func (e *EpochEngine) epochFactor(i int, ep uint64) float64 {
 // StatsEpoch implements core.EpochEngine.
 func (e *EpochEngine) StatsEpoch() uint64 { return e.epoch.Load() }
 
+// CostEpoch implements core.EpochEngine. Every synthetic epoch rescales
+// every plan's cost, so the cost epoch is always the statistics epoch.
+func (e *EpochEngine) CostEpoch() uint64 { return e.epoch.Load() }
+
 // Advance installs the next statistics generation and returns its id.
 func (e *EpochEngine) Advance() uint64 { return e.epoch.Add(1) }
 

@@ -197,6 +197,20 @@ func (t *Template) ParamPredicates() []Predicate {
 	return out
 }
 
+// Footprint lists the "table.column" keys of the columns the template's
+// constant predicates read, in predicate order. These are the only
+// histograms a cost of the template depends on: parameterized predicates
+// take their selectivity from the sVector, not from statistics.
+func (t *Template) Footprint() []string {
+	var out []string
+	for _, p := range t.Preds {
+		if p.Param < 0 {
+			out = append(out, p.Table+"."+p.Column)
+		}
+	}
+	return out
+}
+
 // SQL renders the template as SQL text with ? placeholders, for display.
 func (t *Template) SQL() string {
 	var b strings.Builder

@@ -227,6 +227,13 @@ func adminSystem(t *testing.T) (*Server, *pqo.System) {
 		         AND orders.o_totalprice >= ?1`,
 		"q2": `SELECT * FROM lineitem
 		       WHERE lineitem.l_shipdate <= ?0 AND lineitem.l_quantity <= ?1`,
+		// q3's constant predicate reads the orders.o_orderdate histogram:
+		// its footprint, the only statistics its costs depend on.
+		"q3": `SELECT * FROM lineitem, orders
+		       WHERE lineitem.l_orderkey = orders.o_orderkey
+		         AND lineitem.l_shipdate <= ?0
+		         AND orders.o_orderdate <= 1200
+		         AND orders.o_totalprice >= ?1`,
 	} {
 		tpl, err := pqo.ParseTemplate(name, sql, sys.Cat)
 		if err != nil {
@@ -266,10 +273,10 @@ func postAdminStats(t *testing.T, h http.Handler, body string) (*httptest.Respon
 // advance by full resample, advance by per-column delta, and read the
 // epoch log back with revalidation progress.
 func TestAdminStatsLifecycle(t *testing.T) {
-	s, sys := adminSystem(t)
+	s, _ := adminSystem(t)
 	h := s.Handler()
 	for _, sv := range [][]float64{{0.02, 0.1}, {0.6, 0.5}, {0.3, 0.3}} {
-		for _, tpl := range []string{"q1", "q2"} {
+		for _, tpl := range []string{"q1", "q2", "q3"} {
 			if w, _ := postPlan(t, h, PlanRequest{Template: tpl, SVector: sv}); w.Code != http.StatusOK {
 				t.Fatalf("seeding %s: status %d body %s", tpl, w.Code, w.Body)
 			}
@@ -284,14 +291,12 @@ func TestAdminStatsLifecycle(t *testing.T) {
 	if resp.Epoch != 2 {
 		t.Fatalf("epoch after first advance = %d, want 2", resp.Epoch)
 	}
-	if len(resp.Revalidation) != 2 {
-		t.Fatalf("revalidation started for %d templates, want 2 (%+v)", len(resp.Revalidation), resp.Revalidation)
+	if len(resp.Revalidation) != 3 {
+		t.Fatalf("revalidation started for %d templates, want 3 (%+v)", len(resp.Revalidation), resp.Revalidation)
 	}
-	for name, p := range resp.Revalidation {
-		if p.TargetEpoch != 2 {
-			t.Errorf("%s revalidation target = %d, want 2", name, p.TargetEpoch)
-		}
-	}
+	// A resample replaces every histogram, but only q3 reads one: q1 and
+	// q2 keep cost epoch 1 and have nothing to revalidate.
+	checkRevalidation(t, resp, 2)
 	// Drain the background runs so the next advance starts clean.
 	for _, e := range s.snapshotEntries() {
 		if run := e.scr.CurrentRevalidation(); run != nil {
@@ -299,18 +304,13 @@ func TestAdminStatsLifecycle(t *testing.T) {
 		}
 	}
 
-	// Partial refresh: one column's histogram from a fresh sample.
-	cols := sys.Stats.Columns()
-	if len(cols) == 0 {
-		t.Fatal("system has no histogram columns")
-	}
-	dot := strings.LastIndex(cols[0], ".")
+	// Partial refresh: q3's footprint column from a fresh sample.
 	vals := make([]float64, 200)
 	for i := range vals {
 		vals[i] = float64(i) * 1.5
 	}
 	delta, _ := json.Marshal(AdminStatsRequest{Deltas: []pqo.HistogramDelta{{
-		Table: cols[0][:dot], Column: cols[0][dot+1:], Values: vals,
+		Table: "orders", Column: "o_orderdate", Values: vals,
 	}}})
 	w, resp = postAdminStats(t, h, string(delta))
 	if resp == nil {
@@ -319,6 +319,7 @@ func TestAdminStatsLifecycle(t *testing.T) {
 	if resp.Epoch != 3 {
 		t.Fatalf("epoch after delta advance = %d, want 3", resp.Epoch)
 	}
+	checkRevalidation(t, resp, 3)
 
 	// The epoch log lists every generation, ascending, current flagged.
 	w2 := httptest.NewRecorder()
@@ -339,21 +340,28 @@ func TestAdminStatsLifecycle(t *testing.T) {
 			t.Errorf("log[%d].Current = %v", i, info.Current)
 		}
 	}
-	if cols0 := log[2].Columns; len(cols0) != 1 || cols0[0] != cols[0] {
-		t.Errorf("delta record columns = %v, want [%s]", cols0, cols[0])
+	if cols0 := log[2].Columns; len(cols0) != 1 || cols0[0] != "orders.o_orderdate" {
+		t.Errorf("delta record columns = %v, want [orders.o_orderdate]", cols0)
 	}
 
-	// Serving still works and reports the current epoch once revalidation
-	// has caught the caches up.
+	// Serving still works once revalidation has caught the caches up: q3
+	// states the new epoch, q1 and q2 still state epoch 1 (their costs
+	// are the same under every epoch since), and every response carries
+	// the node's generation.
 	for _, e := range s.snapshotEntries() {
 		if run := e.scr.CurrentRevalidation(); run != nil {
 			<-run.Done()
 		}
 	}
-	if w, pr := postPlan(t, h, PlanRequest{Template: "q1", SVector: []float64{0.02, 0.1}}); w.Code != http.StatusOK {
-		t.Fatalf("post-advance plan: status %d", w.Code)
-	} else if pr.Epoch != 3 {
-		t.Errorf("post-revalidation decision epoch = %d, want 3", pr.Epoch)
+	for tpl, want := range map[string]uint64{"q1": 1, "q2": 1, "q3": 3} {
+		w, pr := postPlan(t, h, PlanRequest{Template: tpl, SVector: []float64{0.02, 0.1}})
+		if w.Code != http.StatusOK {
+			t.Fatalf("post-advance %s plan: status %d", tpl, w.Code)
+		}
+		if pr.Epoch != want || pr.NodeEpoch != 3 || pr.Degraded {
+			t.Errorf("post-revalidation %s decision: epoch %d nodeEpoch %d degraded %v, want %d, 3, false",
+				tpl, pr.Epoch, pr.NodeEpoch, pr.Degraded, want)
+		}
 	}
 
 	// The epoch gauge is visible in /metrics.
@@ -365,6 +373,24 @@ func TestAdminStatsLifecycle(t *testing.T) {
 	}
 	if !strings.Contains(body, "pqo_epoch_lag_seconds") {
 		t.Error("/v1/metrics missing pqo_epoch_lag_seconds")
+	}
+}
+
+// checkRevalidation asserts the revalidation an advance to epoch started:
+// q3, whose footprint the advance changed, revalidates its seeded
+// instances to the new epoch; q1 and q2 have no footprint, stay at cost
+// epoch 1, and report nothing to do.
+func checkRevalidation(t *testing.T, resp *AdminStatsResponse, epoch uint64) {
+	t.Helper()
+	for name, p := range resp.Revalidation {
+		want, wantWork := uint64(1), false
+		if name == "q3" {
+			want, wantWork = epoch, true
+		}
+		if p.TargetEpoch != want || (p.Total > 0) != wantWork {
+			t.Errorf("epoch %d: %s revalidation target %d total %d, want target %d with work %v",
+				epoch, name, p.TargetEpoch, p.Total, want, wantWork)
+		}
 	}
 }
 

@@ -43,14 +43,22 @@ type chaosNode struct {
 	ts *httptest.Server
 }
 
+// chaosSQL is the cluster chaos template. Its constant predicate puts
+// lineitem.l_discount in its footprint, so every resample moves its cost
+// epoch and sends the members through revalidation, and the λ oracle
+// checks decisions at more than one generation. The l_quantity delta
+// leaves the footprint alone, so decisions keep stating the earlier
+// generation across it.
+const chaosSQL = `SELECT * FROM lineitem WHERE lineitem.l_shipdate <= ?0
+	AND lineitem.l_quantity <= ?1 AND lineitem.l_discount <= 0.05`
+
 func newChaosNode(t *testing.T) *chaosNode {
 	t.Helper()
 	sys, err := pqo.NewSystem(pqo.TPCH(0.01), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tpl, err := pqo.ParseTemplate("cq",
-		`SELECT * FROM lineitem WHERE lineitem.l_shipdate <= ?0 AND lineitem.l_quantity <= ?1`, sys.Cat)
+	tpl, err := pqo.ParseTemplate("cq", chaosSQL, sys.Cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,8 +439,7 @@ func verifyLambda(t *testing.T, payloads []cluster.Payload, pool [][]float64, re
 	if err != nil {
 		t.Fatal(err)
 	}
-	tpl, err := pqo.ParseTemplate("cq",
-		`SELECT * FROM lineitem WHERE lineitem.l_shipdate <= ?0 AND lineitem.l_quantity <= ?1`, twin.Cat)
+	tpl, err := pqo.ParseTemplate("cq", chaosSQL, twin.Cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +516,7 @@ func verifyLambda(t *testing.T, payloads []cluster.Payload, pool [][]float64, re
 	if checked == 0 {
 		t.Fatal("λ verification checked no responses")
 	}
-	t.Logf("λ verified %d responses across %d generations", checked, gen)
+	t.Logf("λ verified %d responses stated at %d of %d generations", checked, len(byEpoch), gen)
 }
 
 // quantitySample is the deterministic value sample behind the delta

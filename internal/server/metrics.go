@@ -137,14 +137,12 @@ func (s *Server) writeMetrics(w io.Writer) {
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.EpochSkew) }},
 		{"pqo_epoch_skew_flagged_total", "Decisions served flagged because the node exceeded the cluster skew bound.",
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.EpochSkewFlagged) }},
-		{"pqo_lagging_instances", "Cached instance anchors awaiting revalidation under the current epoch.",
+		{"pqo_lagging_instances", "Cached instance anchors awaiting revalidation: behind the template's current cost epoch.",
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.LaggingInstances) }},
 		{"pqo_revalidated_plans_total", "Anchors re-derived under a new statistics epoch by background revalidation.",
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.RevalidatedPlans) }},
-		{"pqo_epoch_lag_fallbacks_total", "Instances served flagged because their candidates lagged the current epoch.",
+		{"pqo_epoch_lag_fallbacks_total", "Instances served flagged because their candidates lagged the template's current cost epoch.",
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.EpochLagFallbacks) }},
-		{"pqo_write_lock_wait_seconds_total", "Cumulative time waiting for the cache write lock.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%g", st.WriteLockWait.Seconds()) }},
 		{"pqo_writer_wait_seconds_total", "Time writers waited to acquire this template's write-domain mutex (striped accumulation).",
 			func(st statsSnapshot) string { return fmt.Sprintf("%g", st.WriteLockWait.Seconds()) }},
 		{"pqo_publish_total", "RCU snapshot publications for this template's write domain.",
@@ -187,7 +185,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE pqo_epoch_lag_seconds gauge")
 	fmt.Fprintf(w, "pqo_epoch_lag_seconds %g\n", s.epochLagSeconds())
 
-	fmt.Fprintln(w, "# HELP pqo_check_latency_seconds End-to-end /plan decision latency by serving mechanism.")
+	fmt.Fprintln(w, "# HELP pqo_check_latency_seconds /plan decision latency by serving mechanism: from after request decode and slot acquisition to the priced decision, excluding response encoding.")
 	fmt.Fprintln(w, "# TYPE pqo_check_latency_seconds histogram")
 	for _, name := range names {
 		e := s.entry(name)

@@ -385,9 +385,11 @@ type PlanRequest struct {
 // PlanResponse is the body of a successful POST /v1/plan. Degraded
 // reports that the decision was served without the λ guarantee (the
 // optimizer was unavailable); DegradedReason says why. Epoch is the id of
-// the statistics epoch the decision's guarantee is stated against — it
-// can trail the engine's current epoch while background revalidation
-// catches the cache up after an advance (0 for epoch-less engines).
+// the statistics epoch the decision's guarantee is stated against: the
+// template's cost epoch, the newest epoch that changed a histogram its
+// costs read (0 for epoch-less engines). It trails NodeEpoch for a
+// template whose statistics later advances left alone, and while
+// background revalidation catches the cache up after an advance.
 // CostUnavailable marks a response whose estimatedCost could not be
 // computed because recosting failed after the decision — the plan itself
 // is still valid.
@@ -399,8 +401,9 @@ type PlanResponse struct {
 	DegradedReason string `json:"degradedReason,omitempty"`
 	Epoch          uint64 `json:"epoch,omitempty"`
 	// NodeEpoch is the node's installed statistics generation at response
-	// time. It can run ahead of Epoch (a lagging anchor's guarantee is
-	// stated against the generation it was derived under) and is the value
+	// time. It can run ahead of Epoch (the template's statistics did not
+	// change since Epoch, or a lagging anchor's guarantee is stated
+	// against the generation it was derived under) and is the value
 	// cross-node skew is measured on: two healthy nodes must never differ
 	// by more than the cluster skew bound.
 	NodeEpoch       uint64  `json:"nodeEpoch,omitempty"`

@@ -11,7 +11,9 @@ import (
 // (plan, sv, statistics), so an epoch id is a complete validity token for
 // any derived cost: two values computed under the same epoch are mutually
 // consistent, and a value tagged with an older epoch is stale — not wrong,
-// just answered against the previous statistics generation.
+// just answered against the previous statistics generation. A cost reads
+// only some histograms, so the finer token is the cost epoch of those
+// histograms (CostEpoch): it moves only when one of them is replaced.
 //
 // Epochs are immutable after construction. The optimizer publishes the
 // current epoch through an atomic pointer (memo.Optimizer.Epoch), so a
@@ -27,6 +29,48 @@ type Epoch struct {
 	ID uint64
 	// Store is the statistics snapshot of this generation.
 	Store *Store
+	// born maps a "table.column" key to the id of the epoch that installed
+	// the column's current histogram. Columns absent from the map were
+	// born at epoch 1, so the first epoch needs no map at all.
+	born map[string]uint64
+}
+
+// Next returns the epoch that follows e with st as its store. A column
+// whose histogram pointer is unchanged keeps its birth epoch; every other
+// column is born at the new id. Store.Apply shares untouched histograms,
+// so a delta moves exactly the columns it names, while a resampled store
+// moves every column — conservative, never stale.
+func (e *Epoch) Next(st *Store) *Epoch {
+	next := &Epoch{ID: e.ID + 1, Store: st}
+	for k, h := range st.hists {
+		born := next.ID
+		if e.Store != nil && e.Store.hists[k] == h {
+			born = e.born[k]
+		}
+		if born > 1 {
+			if next.born == nil {
+				next.born = make(map[string]uint64)
+			}
+			next.born[k] = born
+		}
+	}
+	return next
+}
+
+// CostEpoch returns the cost epoch of a footprint — a list of
+// "table.column" keys whose histograms some derived cost reads: the id of
+// the newest epoch that installed a new histogram for any of them, or 1
+// when none changed since the first epoch (or the footprint is empty).
+// Costs derived from the footprint are bit-identical across all epochs
+// sharing a cost epoch, so it can tag them in place of the epoch id.
+func (e *Epoch) CostEpoch(footprint []string) uint64 {
+	ce := uint64(1)
+	for _, k := range footprint {
+		if b := e.born[k]; b > ce {
+			ce = b
+		}
+	}
+	return ce
 }
 
 // HistogramDelta replaces the histogram of one column: the raw sample

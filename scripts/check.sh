@@ -1,11 +1,12 @@
 #!/bin/sh
-# Tier-1 verification: vet, build, run the full test suite, and re-run the
-# concurrency-sensitive packages under the race detector. The experiment
-# reproduction tests are minutes-long already and ~10x slower under -race
-# (they exceed go test's per-package timeout on small machines), so the
-# race pass targets the packages with concurrent hot paths.
+# Tier-1 verification: vet, build, run the full test suite, re-run the
+# concurrency-sensitive packages under the race detector, and run
+# planbench's own tests. The experiment reproduction tests are
+# minutes-long already and ~10x slower under -race (they exceed go test's
+# per-package timeout on small machines), so the race pass targets the
+# packages with concurrent hot paths.
 #
-#   ./scripts/check.sh          # vet + build + tests + targeted race pass
+#   ./scripts/check.sh          # vet + build + tests + race pass + planbench
 #   ./scripts/check.sh -lint    # additionally run pqolint + extra analyzers
 #   ./scripts/check.sh -bench   # additionally run the parallel benchmarks
 #   ./scripts/check.sh -chaos   # additionally run the full chaos profiles
@@ -24,6 +25,11 @@ go test -shuffle=on ./...
 go test -race ./internal/core/ ./internal/server/ ./internal/engine/ \
     ./internal/baselines/ ./internal/harness/ ./internal/memo/ \
     ./internal/faultinject/ ./internal/cluster/
+# planbench is its own module (it replaces repro with this tree), so
+# ./... above does not reach it. Its self-tests include the λ oracle's
+# (e.g. TestChurnOracleSeesStalePlans), which gate any change to epoch
+# semantics.
+(cd planbench && go test ./...)
 
 run_lint() {
     # pqolint: the repo's invariant analyzers (docs/LINT.md). Driven through
