@@ -17,9 +17,6 @@
 //	curl -s -X POST localhost:8080/v1/admin/stats -d '{"resampleSeed":7}'
 //	curl -s localhost:8080/v1/admin/epochs
 //	curl -s localhost:8080/v1/openapi.json
-//
-// The unversioned paths from earlier releases still answer with 308
-// permanent redirects to their /v1 equivalents.
 package main
 
 import (

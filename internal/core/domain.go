@@ -60,17 +60,9 @@ type writeDomain struct {
 	// and counters. Set once in init, immutable afterwards.
 	scr *SCR
 
-	// mu serializes writers over the master state below. It normally
-	// points at ownMu; WithSharedWriteLock aims it at a caller-supplied
-	// mutex instead (the unsharded baseline the write-path benchmarks
-	// compare against). Readers never take it — they load snap.
-	mu    *sync.Mutex
-	ownMu sync.Mutex
-
-	// eager disables coalescing: every publication mark flushes
-	// immediately, restoring the one-publish-per-mutation behavior the
-	// pre-sharding write path had (WithEagerPublish, benchmarks only).
-	eager bool
+	// mu serializes writers over the master state below. Readers never
+	// take it — they load snap.
+	mu sync.Mutex
 
 	// plans indexes cached plans by fingerprint; plansSorted is the same
 	// set in ascending fingerprint order, rebuilt copy-on-write by
@@ -103,11 +95,6 @@ type writeDomain struct {
 // escapes its constructor.
 func (d *writeDomain) init(s *SCR) {
 	d.scr = s
-	d.eager = s.cfg.eagerPublish
-	d.mu = &d.ownMu
-	if s.cfg.sharedWriteMu != nil {
-		d.mu = s.cfg.sharedWriteMu
-	}
 	d.plans = make(map[string]*planEntry)
 	d.publishLocked()
 	d.flushLocked()
@@ -138,7 +125,7 @@ func (d *writeDomain) unlock() {
 // every publishCoalesceWindow marks mid-section). Caller holds the
 // domain mutex.
 func (d *writeDomain) publishLocked() {
-	if n := d.pending.Add(1); d.eager || n >= publishCoalesceWindow {
+	if d.pending.Add(1) >= publishCoalesceWindow {
 		d.flushLocked()
 	}
 }
@@ -170,15 +157,6 @@ func (d *writeDomain) flushLocked() {
 		epoch:     d.scr.statsEpoch(),
 	}
 	switch {
-	case d.eager:
-		// Faithful reconstruction of the retired publication (benchmark
-		// baseline): a fresh instance copy and a from-scratch index on
-		// every single publish, exactly what the pre-sharding write path
-		// paid per mutation.
-		insts := make([]*instanceEntry, len(d.instances))
-		copy(insts, d.instances)
-		next.instances = insts
-		next.index = buildSelIndex(insts)
 	case prev == nil || d.structural || len(d.instances) < len(prev.instances):
 		next.index = buildSelIndex(d.instances)
 	case len(d.instances) == len(prev.instances):

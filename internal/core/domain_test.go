@@ -84,48 +84,10 @@ func TestImportSinglePublication(t *testing.T) {
 	}
 }
 
-// TestEagerPublishRestoresPerMutationPublication: the benchmark baseline
-// knob must bump the version on every mutation again, and the shared
-// write lock option must reject nil.
-func TestEagerPublishRestoresPerMutationPublication(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	eng, err := pqotest.RandomEngine(rng, 3, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(eng, WithLambda(2), WithStoreAlways(), WithEagerPublish())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		if _, err := s.Process(context.Background(), pqotest.RandomSVector(rng, 3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := s.snapshot().version
-	stBefore := s.Stats()
-	dropped, err := s.SweepRedundantPlans()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped < 2 {
-		t.Skipf("sweep dropped %d plans; need >= 2 to distinguish eager from coalesced", dropped)
-	}
-	if after := s.snapshot().version; after != before+int64(dropped) {
-		t.Errorf("eager sweep dropping %d moved version %d -> %d, want one publication per removal", dropped, before, after)
-	}
-	if st := s.Stats(); st.PublishCoalesced != stBefore.PublishCoalesced {
-		t.Errorf("eager publication coalesced %d marks, want 0 new", st.PublishCoalesced-stBefore.PublishCoalesced)
-	}
-
-	if _, err := New(eng, WithSharedWriteLock(nil)); err == nil {
-		t.Error("WithSharedWriteLock(nil) accepted, want error")
-	}
-}
-
 // TestWriteDomainIsolation: mutating one template's cache must republish
 // only that template's snapshot — sibling domains' published pointers
-// stay untouched.
+// stay untouched — and a writer holding one domain's mutex must not stall
+// a store into another.
 func TestWriteDomainIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	dir := NewDirectory()
@@ -141,6 +103,37 @@ func TestWriteDomainIsolation(t *testing.T) {
 		}
 		scrs = append(scrs, s)
 	}
+
+	// scrs[1] is empty, so its first Process misses, calls the optimizer
+	// and stores under its own writer mutex while scrs[0]'s is held.
+	type result struct {
+		dec *Decision
+		err error
+	}
+	done := make(chan result, 1)
+	sv := pqotest.RandomSVector(rng, 3)
+	scrs[0].dom.mu.Lock()
+	go func() {
+		dec, err := scrs[1].Process(context.Background(), sv)
+		done <- result{dec, err}
+	}()
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(5 * time.Second):
+		t.Error("a store into t1 waited on t0's writer mutex: write domains share a lock")
+	}
+	scrs[0].dom.mu.Unlock()
+	if r.dec == nil && r.err == nil {
+		r = <-done
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if !r.dec.Optimized {
+		t.Fatalf("first Process on an empty cache served via %v, want an optimizer call and store", r.dec.Via)
+	}
+
 	idle0 := scrs[0].snapshot()
 	idle2 := scrs[2].snapshot()
 	for i := 0; i < 50; i++ {

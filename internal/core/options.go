@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -224,37 +223,6 @@ func WithViolationDetection(tolerance float64) Option {
 		}
 		c.DetectViolations = true
 		c.ViolationTolerance = tolerance
-		return nil
-	}
-}
-
-// WithSharedWriteLock makes the SCR's write domain acquire mu instead of
-// its own per-template mutex, collapsing every SCR built with the same mu
-// into one write domain. This deliberately reconstructs the pre-sharding
-// single-mutex write path; it exists so benchmarks can measure the
-// sharded design against that baseline (scripts/bench_scaling.sh's
-// write-heavy sweep). Production callers should never need it.
-func WithSharedWriteLock(mu *sync.Mutex) Option {
-	return func(c *Config) error {
-		if mu == nil {
-			return optErr("shared write lock must not be nil")
-		}
-		c.sharedWriteMu = mu
-		return nil
-	}
-}
-
-// WithEagerPublish disables publication coalescing: every mutation under
-// the domain mutex republishes the snapshot immediately instead of
-// batching mutations from one critical section into a single publish, and
-// each publication pays the retired design's full rebuild (a fresh
-// instance-list copy plus a from-scratch selectivity index, with none of
-// the incremental merge/reuse the coalescing flush applies). Like
-// WithSharedWriteLock this reconstructs the pre-sharding baseline for
-// benchmarks; coalescing is strictly cheaper for readers and writers.
-func WithEagerPublish() Option {
-	return func(c *Config) error {
-		c.eagerPublish = true
 		return nil
 	}
 }

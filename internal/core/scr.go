@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -87,16 +86,6 @@ type Config struct {
 	// DegradedEpochSkew. Zero selects the default of 1 — adjacent
 	// generations only, matching the coordinator's default withhold rule.
 	SkewBound int
-
-	// sharedWriteMu, when non-nil, makes the SCR's write domain acquire
-	// this mutex instead of its own — collapsing several SCRs into one
-	// write domain. Benchmark-only (WithSharedWriteLock): it reconstructs
-	// the pre-sharding single-mutex write path as a baseline.
-	sharedWriteMu *sync.Mutex
-	// eagerPublish disables publication coalescing: every mutation under
-	// the domain mutex republishes the snapshot immediately. Benchmark-only
-	// (WithEagerPublish): it reconstructs the publish-per-mutation baseline.
-	eagerPublish bool
 }
 
 // DynamicLambda maps an instance's optimal cost to a λ in [Min, Max] via an

@@ -12,43 +12,28 @@ import (
 )
 
 // writeHeavyTemplates is the fleet size for the write-heavy benchmark:
-// enough templates that a shared writer mutex convoys work that per-
-// template domains would run independently.
+// enough templates that writers mostly land in different write domains.
 const writeHeavyTemplates = 8
 
-// BenchmarkProcessWriteHeavy measures multi-template throughput under a
-// write-heavy mix — ~30% of operations are fresh vectors that miss and
-// store (WithStoreAlways), while a background loop continuously advances
-// statistics epochs and revalidates one template after another, keeping a
-// writer hot in some domain for the whole timed section. Two disciplines:
-//
-//   - sharded: the shipped write path — every template its own write
-//     domain (own mutex, own snapshot) with coalesced publication, so one
-//     flush covers a whole critical section's mutations and writers to
-//     different templates never contend.
-//   - unsharded: the retired design reconstructed via the benchmark-only
-//     options — all templates chained to ONE shared writer mutex
-//     (WithSharedWriteLock) and every mutation republishing its snapshot
-//     eagerly (WithEagerPublish), so each store pays O(instances) rebuilds
-//     per mutation and serializes against every other template's writes.
+// BenchmarkProcessWriteHeavy measures multi-template throughput on the
+// shipped write path under a write-heavy mix — ~30% of operations are
+// fresh vectors that miss and store (WithStoreAlways), while a background
+// loop continuously advances statistics epochs and revalidates one
+// template after another, keeping a writer hot in some domain for the
+// whole timed section. Every template is its own write domain (own
+// mutex, own snapshot) with coalesced publication, so writers to
+// different templates never contend.
 //
 // The engines optimize in nanoseconds on purpose: the benchmark isolates
 // the write-path critical sections (lock acquisition, snapshot
-// publication) rather than optimizer latency, and a single-CPU host still
-// exposes the differential because the eager/shared discipline simply
-// does more serialized work per store. scripts/bench_scaling.sh -write
-// sweeps this benchmark and enforces the BENCH_PR10.json gate. Run with:
+// publication) rather than optimizer latency, so its scaling across -cpu
+// is CPU-bound and needs physical cores. TestWriteDomainIsolation is the
+// deterministic check that domains do not share a lock. Run with:
 //
-//	go test ./internal/core/ -bench BenchmarkProcessWriteHeavy -cpu 1,4,16
+//	go test ./internal/core/ -run '^$' -bench BenchmarkProcessWriteHeavy -cpu 1,4,16
 func BenchmarkProcessWriteHeavy(b *testing.B) {
-	b.Run("sharded", func(b *testing.B) { benchWriteHeavy(b, false) })
-	b.Run("unsharded", func(b *testing.B) { benchWriteHeavy(b, true) })
-}
-
-func benchWriteHeavy(b *testing.B, unsharded bool) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
-	var sharedMu sync.Mutex
 	type tmpl struct {
 		eng  *pqotest.EpochEngine
 		scr  *core.SCR
@@ -64,17 +49,13 @@ func benchWriteHeavy(b *testing.B, unsharded bool) {
 		// A tight λ keeps the checks strict, so the fresh-vector share of
 		// traffic really reaches the optimizer and stores — without it the
 		// selectivity check absorbs most "misses" and the write path idles.
-		opts := []core.Option{core.WithLambda(1.2), core.WithStoreAlways()}
-		if unsharded {
-			opts = append(opts, core.WithSharedWriteLock(&sharedMu), core.WithEagerPublish())
-		}
-		scr, err := core.New(ee, opts...)
+		scr, err := core.New(ee, core.WithLambda(1.2), core.WithStoreAlways())
 		if err != nil {
 			b.Fatal(err)
 		}
 		// A substantial warmed instance list per template makes snapshot
-		// publication cost realistic: each eager republication rebuilds
-		// O(instances) state, which is exactly what coalescing amortizes.
+		// publication cost realistic: a publication that is not an append
+		// rebuilds O(instances) state.
 		tm := &tmpl{eng: ee, scr: scr, warm: make([][]float64, 384)}
 		for j := range tm.warm {
 			tm.warm[j] = pqotest.RandomSVector(rng, 4)

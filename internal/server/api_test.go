@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -12,55 +11,6 @@ import (
 	"repro/internal/pqotest"
 	"repro/pqo"
 )
-
-// TestLegacyRedirects asserts every pre-versioning path answers 308 with
-// the /v1 target in Location, for the method the route serves (308
-// preserves method and body, so POST clients survive the move).
-func TestLegacyRedirects(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
-	h := s.Handler()
-	n := 0
-	for _, rt := range s.routes() {
-		if rt.legacy == "" {
-			continue
-		}
-		n++
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(rt.method, rt.legacy, nil))
-		if w.Code != http.StatusPermanentRedirect {
-			t.Errorf("%s %s: status %d, want 308", rt.method, rt.legacy, w.Code)
-		}
-		if loc := w.Header().Get("Location"); loc != rt.path {
-			t.Errorf("%s redirect Location = %q, want %q", rt.legacy, loc, rt.path)
-		}
-	}
-	if n == 0 {
-		t.Fatal("no legacy routes in the registry")
-	}
-}
-
-// TestLegacyRedirectFollowedByClient proves an unupdated client still
-// works end-to-end: net/http follows the 308 preserving the POST body, so
-// a plan request against the old path succeeds against the new route.
-func TestLegacyRedirectFollowedByClient(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	body, _ := json.Marshal(PlanRequest{Template: "t1", SVector: []float64{0.1, 0.2}})
-	resp, err := http.Post(ts.URL+"/plan", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy POST /plan through redirect: status %d", resp.StatusCode)
-	}
-	var pr PlanResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil || pr.Plan == "" {
-		t.Fatalf("redirected plan response = %+v (err %v)", pr, err)
-	}
-}
 
 // TestOpenAPICoversEveryRoute asserts the served OpenAPI document and the
 // route registry agree exactly: every registered route appears in the spec
@@ -118,6 +68,9 @@ func TestErrorEnvelopes(t *testing.T) {
 		sentinel string
 	}{
 		{"unknown path", httptest.NewRequest(http.MethodGet, "/nope", nil),
+			http.StatusNotFound, "ErrNotFound"},
+		{"unversioned path", httptest.NewRequest(http.MethodPost, "/plan",
+			strings.NewReader(`{"template":"t1","sVector":[0.1,0.2]}`)),
 			http.StatusNotFound, "ErrNotFound"},
 		{"method not allowed", httptest.NewRequest(http.MethodDelete, "/v1/plan", nil),
 			http.StatusMethodNotAllowed, "ErrMethodNotAllowed"},

@@ -7,22 +7,18 @@ import (
 )
 
 // APIVersion is the served API version prefix. Every endpoint lives under
-// it; the unversioned paths that predate versioning respond with 308
-// permanent redirects so existing clients keep working while new clients
-// bind to a stable, evolvable surface.
+// it, so clients bind to a stable, evolvable surface; any other path
+// answers 404 ErrNotFound.
 const APIVersion = "/v1"
 
 // route is one row of the server's route registry. The registry is the
 // single source of truth for the HTTP surface: Handler builds the mux
-// from it (including method enforcement and legacy redirects) and the
+// from it (including method enforcement) and the
 // OpenAPI document is generated from it, so the spec cannot drift from
 // the routes actually served.
 type route struct {
 	// path is the versioned pattern, e.g. "/v1/plan".
 	path string
-	// legacy, when non-empty, is the pre-versioning path that now
-	// permanently redirects (308) to path.
-	legacy string
 	// method is the single allowed method; GET routes also accept HEAD.
 	method  string
 	handler http.HandlerFunc
@@ -36,7 +32,7 @@ type route struct {
 func (s *Server) routes() []route {
 	return []route{
 		{
-			path: APIVersion + "/plan", legacy: "/plan", method: http.MethodPost,
+			path: APIVersion + "/plan", method: http.MethodPost,
 			handler: s.handlePlan,
 			summary: "Decide a plan for one query instance",
 			description: "Runs the SCR checks for the given template and selectivity vector, " +
@@ -44,31 +40,31 @@ func (s *Server) routes() []route {
 				"λ guarantee is stated against, and the estimated cost.",
 		},
 		{
-			path: APIVersion + "/templates", legacy: "/templates", method: http.MethodGet,
+			path: APIVersion + "/templates", method: http.MethodGet,
 			handler:     s.handleTemplates,
 			summary:     "List registered templates",
 			description: "Registered query templates with SQL and dimensionality, sorted by name.",
 		},
 		{
-			path: APIVersion + "/stats", legacy: "/stats", method: http.MethodGet,
+			path: APIVersion + "/stats", method: http.MethodGet,
 			handler:     s.handleStats,
 			summary:     "Per-template technique counters",
 			description: "The paper's metrics plus concurrency, resilience and epoch counters, sorted by template name.",
 		},
 		{
-			path: APIVersion + "/metrics", legacy: "/metrics", method: http.MethodGet,
+			path: APIVersion + "/metrics", method: http.MethodGet,
 			handler:     s.handleMetrics,
 			summary:     "Prometheus metrics",
 			description: "Counters, gauges and latency histograms in Prometheus text exposition format.",
 		},
 		{
-			path: APIVersion + "/snapshot", legacy: "/snapshot", method: http.MethodPost,
+			path: APIVersion + "/snapshot", method: http.MethodPost,
 			handler:     s.handleSnapshot,
 			summary:     "Persist plan caches",
 			description: "Exports every registered plan cache to the configured snapshot directory.",
 		},
 		{
-			path: APIVersion + "/healthz", legacy: "/healthz", method: http.MethodGet,
+			path: APIVersion + "/healthz", method: http.MethodGet,
 			handler:     s.handleHealthz,
 			summary:     "Liveness and readiness",
 			description: "Three-state health: serving, degraded (shedding or open breakers), or unhealthy (draining).",
@@ -131,14 +127,6 @@ func (s *Server) Handler() http.Handler {
 			}
 			rt.handler(w, r)
 		})
-		if rt.legacy != "" {
-			target := rt.path
-			mux.HandleFunc(rt.legacy, func(w http.ResponseWriter, r *http.Request) {
-				// 308 preserves the method and body, so POST /plan
-				// clients keep working through the redirect.
-				http.Redirect(w, r, target, http.StatusPermanentRedirect)
-			})
-		}
 	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "ErrNotFound",
@@ -155,9 +143,9 @@ func methodAllowed(got, want string) bool {
 
 // openAPIDoc is the minimal OpenAPI 3 document shape the server emits.
 type openAPIDoc struct {
-	OpenAPI string                  `json:"openapi"`
-	Info    openAPIInfo             `json:"info"`
-	Paths   map[string]openAPIPath  `json:"paths"`
+	OpenAPI string                 `json:"openapi"`
+	Info    openAPIInfo            `json:"info"`
+	Paths   map[string]openAPIPath `json:"paths"`
 }
 
 type openAPIInfo struct {

@@ -18,9 +18,9 @@
 //	GET  /v1/admin/epochs epoch log with revalidation progress
 //	GET  /v1/openapi.json the generated OpenAPI document
 //
-// Unversioned legacy paths (/plan, /stats, ...) respond 308 Permanent
-// Redirect to their /v1 equivalents. Every error response uses the JSON
-// envelope {"error","sentinel"}.
+// Any other path, including the unversioned /plan, /stats, ... that
+// predate /v1, answers 404 ErrNotFound. Every error response uses the
+// JSON envelope {"error","sentinel"}.
 //
 // The server dogfoods the public pqo facade: apart from this package's
 // own plumbing it depends only on repro/pqo.

@@ -166,11 +166,6 @@ var (
 	WithOptimizerDeadline   = core.WithOptimizerDeadline
 	WithCircuitBreaker      = core.WithCircuitBreaker
 	WithClusterSkewBound    = core.WithClusterSkewBound
-	// Benchmark-baseline knobs: force all SCRs onto one shared writer
-	// mutex / publish every mutation eagerly, reconstructing the
-	// pre-sharding write path for comparison runs.
-	WithSharedWriteLock = core.WithSharedWriteLock
-	WithEagerPublish    = core.WithEagerPublish
 )
 
 // NewDirectory returns an empty template directory; attach each
