@@ -666,11 +666,13 @@ func (s *SCR) Process(ctx context.Context, sv []float64) (dec *Decision, err err
 			if s.cfg.DegradedFallback {
 				// The freshly optimized plan is λ-optimal here by
 				// definition; only the cache bookkeeping failed. Serve it.
-				return &Decision{Plan: cp, Optimized: true, Via: ViaOptimizer, Epoch: ep}, nil
+				return &Decision{Plan: cp, Optimized: true, Via: ViaOptimizer, Epoch: ep,
+					Cost: optCost, HasCost: true}, nil
 			}
 			return nil, err
 		}
-		return &Decision{Plan: cp, Optimized: true, Via: ViaOptimizer, Epoch: ep}, nil
+		return &Decision{Plan: cp, Optimized: true, Via: ViaOptimizer, Epoch: ep,
+			Cost: optCost, HasCost: true}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -998,7 +1000,8 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot) (*
 			lam := s.cfg.lambdaFor(c.a.c)
 			if r*c.l <= lam/c.a.s {
 				c.e.u.Add(1)
-				return &Decision{Plan: c.e.pp.cp, Via: ViaCost, Epoch: c.a.epoch}, nil
+				return &Decision{Plan: c.e.pp.cp, Via: ViaCost, Epoch: c.a.epoch,
+					Cost: newCost, HasCost: true}, nil
 			}
 		}
 	}

@@ -85,6 +85,15 @@ type Decision struct {
 	// that generation's statistics, not the newest. Zero when the engine
 	// has no epoch lifecycle.
 	Epoch uint64
+	// Cost is the plan's estimated cost at the instance, as already
+	// computed by the check that produced the decision: the Recost a cost
+	// check compared against λ, or the optimizer's cost for the plan it
+	// chose (shared optimizer results included). It is priced under Epoch.
+	// Meaningful only when HasCost is set; selectivity-check hits and
+	// degraded fallbacks compute no cost for the chosen plan.
+	Cost float64
+	// HasCost reports that Cost is set.
+	HasCost bool
 }
 
 // DegradedReason classifies why a decision was served without its λ

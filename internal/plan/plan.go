@@ -10,6 +10,7 @@ package plan
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // OpType identifies a physical operator.
@@ -90,13 +91,18 @@ type Node struct {
 	Children []*Node
 }
 
-// Plan is a complete physical plan for one query template.
+// Plan is a complete physical plan for one query template. A Plan is
+// immutable once built by New: its fingerprint is computed there and its
+// text rendering is cached on first use.
 type Plan struct {
 	Root *Node
 	// TemplateName records which template the plan belongs to.
 	TemplateName string
 
 	fingerprint string
+	// text is String's rendering, stored by the first call. The optimizer
+	// never renders: only callers that show a plan pay for its text.
+	text atomic.Pointer[string]
 }
 
 // New wraps a root node into a Plan and precomputes its fingerprint.
@@ -167,8 +173,19 @@ func (n *Node) walk(f func(*Node)) {
 	}
 }
 
-// String renders the plan tree as an indented outline.
+// String renders the plan tree as an indented outline. The tree is
+// rendered at most once per Plan; concurrent first calls may each render,
+// and all of them return equal text.
 func (p *Plan) String() string {
+	if t := p.text.Load(); t != nil {
+		return *t
+	}
+	t := p.render()
+	p.text.Store(&t)
+	return t
+}
+
+func (p *Plan) render() string {
 	var b strings.Builder
 	var rec func(n *Node, depth int)
 	rec = func(n *Node, depth int) {

@@ -98,8 +98,8 @@ type AdminStatsResponse struct {
 
 func (s *Server) handleAdminStats(w http.ResponseWriter, r *http.Request) {
 	var req AdminStatsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "ErrBadRequest", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAdminBody)).Decode(&req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	if (len(req.Deltas) == 0) == (req.ResampleSeed == nil) {

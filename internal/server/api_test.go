@@ -79,6 +79,21 @@ func TestErrorEnvelopes(t *testing.T) {
 		{"unknown template", httptest.NewRequest(http.MethodPost, "/v1/plan",
 			strings.NewReader(`{"template":"nope","sVector":[0.1,0.2]}`)),
 			http.StatusNotFound, "ErrUnknownTemplate"},
+		// The /v1/plan decoder is strict where encoding/json was lenient:
+		// keys match case-sensitively, and unknown keys, duplicates and
+		// trailing data are refused.
+		{"lowercase key", httptest.NewRequest(http.MethodPost, "/v1/plan",
+			strings.NewReader(`{"template":"t1","svector":[0.1,0.2]}`)),
+			http.StatusBadRequest, "ErrBadRequest"},
+		{"unknown key", httptest.NewRequest(http.MethodPost, "/v1/plan",
+			strings.NewReader(`{"template":"t1","sVector":[0.1,0.2],"lambda":3}`)),
+			http.StatusBadRequest, "ErrBadRequest"},
+		{"duplicate key", httptest.NewRequest(http.MethodPost, "/v1/plan",
+			strings.NewReader(`{"template":"t1","sVector":[0.1,0.2],"template":"t1"}`)),
+			http.StatusBadRequest, "ErrBadRequest"},
+		{"trailing data", httptest.NewRequest(http.MethodPost, "/v1/plan",
+			strings.NewReader(`{"template":"t1","sVector":[0.1,0.2]}{}`)),
+			http.StatusBadRequest, "ErrBadRequest"},
 		{"admin without system", httptest.NewRequest(http.MethodPost, "/v1/admin/stats",
 			strings.NewReader(`{"resampleSeed":1}`)),
 			http.StatusConflict, "ErrNoSystem"},

@@ -17,9 +17,10 @@ import (
 var benchSeed atomic.Int64
 
 // BenchmarkServerParallel drives the full HTTP stack with b.RunParallel
-// over mixed traffic: ~90% repeats of a warm instance set (cache hits
-// under SCR's read lock) and ~10% fresh instances (misses that optimize
-// and take the write lock).
+// over mixed traffic: ~90% repeats of a warm instance set (cache hits on
+// SCR's lock-free snapshot read path) and ~10% fresh instances (misses
+// that optimize and store the plan under the template's write-domain
+// mutex).
 func BenchmarkServerParallel(b *testing.B) {
 	eng, err := pqotest.RandomEngine(rand.New(rand.NewSource(11)), 4, 8)
 	if err != nil {

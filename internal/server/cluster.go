@@ -96,8 +96,8 @@ func (s *Server) observeClusterHeader(r *http.Request) {
 
 func (s *Server) handleClusterEpoch(w http.ResponseWriter, r *http.Request) {
 	var req ClusterEpochRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "ErrBadRequest", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAdminBody)).Decode(&req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	if req.Epoch == 0 {

@@ -39,6 +39,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -376,7 +377,10 @@ func (s *Server) SaveSnapshots() (int, error) {
 	return saved, nil
 }
 
-// PlanRequest is the body of POST /plan.
+// PlanRequest is the body of POST /v1/plan. The handler parses it with a
+// strict decoder (decodePlanRequest) that accepts every body json.Marshal
+// produces for a PlanRequest and nothing encoding/json would read
+// differently.
 type PlanRequest struct {
 	Template string    `json:"template"`
 	SVector  []float64 `json:"sVector"`
@@ -510,21 +514,32 @@ func (s *Server) shed(w http.ResponseWriter) {
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	var req PlanRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	// One pooled buffer holds the request body and then the response. The
+	// decoded template name may alias it; nothing else does, and nothing
+	// of it outlives this call.
+	buf := wireBufs.Get().(*[]byte)
+	defer putWireBuf(buf)
+	body, err := appendBody((*buf)[:0], http.MaxBytesReader(w, r.Body, maxPlanBody))
+	*buf = body
+	if err != nil {
+		writeBodyError(w, err)
+		return
+	}
+	tpl, sv, err := decodePlanRequest(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "ErrBadRequest", err)
 		return
 	}
-	e := s.entry(req.Template)
+	e := s.entry(string(tpl)) // a short name converts on the stack
 	if e == nil {
 		writeError(w, http.StatusNotFound, "ErrUnknownTemplate",
-			fmt.Errorf("unknown template %q", req.Template))
+			fmt.Errorf("unknown template %q", tpl))
 		return
 	}
-	if len(req.SVector) != e.eng.Dimensions() {
+	if len(sv) != e.eng.Dimensions() {
 		writeError(w, http.StatusBadRequest, "ErrBadRequest",
 			fmt.Errorf("template %q takes %d selectivities, got %d",
-				req.Template, e.eng.Dimensions(), len(req.SVector)))
+				e.name, e.eng.Dimensions(), len(sv)))
 		return
 	}
 	release, ok := s.acquireSlot(r.Context())
@@ -541,7 +556,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	dec, err := e.scr.Process(ctx, req.SVector)
+	dec, err := e.scr.Process(ctx, sv)
 	if err != nil {
 		code, sentinel := statusFor(err)
 		if code == http.StatusServiceUnavailable {
@@ -561,11 +576,18 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		Plan:           dec.Plan.Plan.String(),
 		Fingerprint:    dec.Plan.Fingerprint(),
 	}
-	// A decision in hand is worth serving even when the engine cannot
-	// price it anymore (it may be the same fault that degraded the
-	// decision): mark the cost unavailable rather than failing the
-	// request after the hard part succeeded.
-	if cost, err := e.eng.Recost(dec.Plan, req.SVector); err == nil {
+	// The cost check and the optimizer already priced the plan; only
+	// selectivity hits and fallbacks pay a Recost here. A decision in hand
+	// is worth serving even when the engine cannot price it (it may be
+	// the same fault that degraded the decision): mark the cost
+	// unavailable rather than failing the request after the hard part
+	// succeeded. A non-finite cost has no JSON form and counts as
+	// unavailable too.
+	cost, costErr := dec.Cost, error(nil)
+	if !dec.HasCost {
+		cost, costErr = e.eng.Recost(dec.Plan, sv)
+	}
+	if costErr == nil && !math.IsInf(cost, 0) && !math.IsNaN(cost) {
 		resp.EstimatedCost = cost
 	} else {
 		resp.CostUnavailable = true
@@ -573,7 +595,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	latency := time.Since(start)
 	e.hist[histIndex(dec)].observe(latency)
 	resp.LatencyMicros = latency.Microseconds()
-	writeJSON(w, resp)
+
+	out := appendPlanResponse(body[:0], &resp)
+	*buf = out
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(out)))
+	_, _ = w.Write(out)
 }
 
 // histIndex maps a decision to its latency histogram: degraded fallbacks
@@ -710,10 +738,27 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, map[string]int{"snapshots": saved})
 }
 
+// writeJSON encodes v before writing anything, so a value encoding/json
+// refuses (a NaN, say) answers 500 with the error envelope instead of a
+// 200 with an empty body.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// The connection is gone; nothing better to do than drop it.
-		_ = err
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "", err)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(append(b, '\n'))
+}
+
+// writeBodyError answers a request whose body could not be read or
+// decoded: 413 ErrBodyTooLarge past the route's limit, else 400.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "ErrBodyTooLarge",
+			fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, "ErrBadRequest", err)
 }

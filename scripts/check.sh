@@ -10,6 +10,7 @@
 #   ./scripts/check.sh -lint    # additionally run pqolint + extra analyzers
 #   ./scripts/check.sh -bench   # additionally run the same-run benchmark gates
 #   ./scripts/check.sh -chaos   # additionally run the full chaos profiles
+#                               # and a 20 s fuzz of the /v1/plan decoder
 #
 # The short chaos profile (fault-injected serving, docs/ROBUSTNESS.md) is
 # part of the default test suite; -chaos runs the long streams.
@@ -67,6 +68,9 @@ case "${1:-}" in
     # Recost cost or allocations shows up here in seconds (docs/PERF.md).
     go test ./internal/memo/ -run '^$' -benchtime 100x -benchmem \
         -bench 'BenchmarkOptimize$|BenchmarkRecost$'
+    # The /v1/plan handler in process: decode, checks, encode (PERF.md
+    # "The /v1/plan handler"); TestPlanHandlerAllocBudget pins its allocs.
+    go test ./internal/server/ -run '^$' -benchmem -bench 'BenchmarkPlanHandler$'
     go test ./internal/server/ -run '^$' -bench BenchmarkServerParallel -cpu 8
     # Every gate below compares two numbers taken in this run, so none
     # depends on the host's speed.
@@ -129,6 +133,10 @@ case "${1:-}" in
     # delayed, duplicated, and partitioned coordinator RPCs.
     go test -race ./internal/server/ -run 'TestChaos' -chaos.full \
         -count=1 -timeout 600s -v
+    # Fuzz smoke of the /v1/plan request decoder, the server's trust
+    # boundary: no panic, and agreement with encoding/json on everything
+    # it accepts.
+    go test -run '^$' -fuzz '^FuzzDecodePlanRequest$' -fuzztime 20s ./internal/server/
     ;;
 esac
 
