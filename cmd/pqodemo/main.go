@@ -62,7 +62,7 @@ func main() {
 		fatal(err)
 	}
 
-	scr, err := core.NewSCR(eng, core.Config{Lambda: *lambda, DetectViolations: true})
+	scr, err := core.New(eng, core.WithLambda(*lambda), core.WithViolationDetection(0.01))
 	if err != nil {
 		fatal(err)
 	}
@@ -93,7 +93,7 @@ func main() {
 
 	// Sub-optimality audit against ground truth.
 	seq := &workload.Sequence{Name: "demo", Tpl: entry.Tpl, Instances: insts}
-	scr2, _ := core.NewSCR(eng, core.Config{Lambda: *lambda, DetectViolations: true})
+	scr2, _ := core.New(eng, core.WithLambda(*lambda), core.WithViolationDetection(0.01))
 	res, err := harness.Run(context.Background(), eng, scr2, seq, harness.Options{Lambda: *lambda})
 	if err != nil {
 		fatal(err)

@@ -141,7 +141,7 @@ func parseOrdering(name string) (workload.Ordering, error) {
 func makeTechnique(name string, eng core.Engine, lambda float64) (core.Technique, error) {
 	switch strings.ToUpper(name) {
 	case "SCR":
-		return core.NewSCR(eng, core.Config{Lambda: lambda, DetectViolations: true})
+		return core.New(eng, core.WithLambda(lambda), core.WithViolationDetection(0.01))
 	case "PCM":
 		return baselines.NewPCM(eng, lambda)
 	case "ELLIPSE":

@@ -49,7 +49,7 @@ func main() {
 	}
 
 	lambda := 2.0
-	scr, err := core.NewSCR(eng, core.Config{Lambda: lambda})
+	scr, err := core.New(eng, core.WithLambda(lambda))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -86,10 +86,10 @@ func main() {
 		{"OptOnce", func() (core.Technique, error) { return baselines.NewOptOnce(eng), nil }},
 		{"PCM(2)", func() (core.Technique, error) { return baselines.NewPCM(eng, 2) }},
 		{"SCR(2)", func() (core.Technique, error) {
-			return core.NewSCR(eng, core.Config{Lambda: 2, DetectViolations: true})
+			return core.New(eng, core.WithLambda(2), core.WithViolationDetection(0.01))
 		}},
 		{"SCR(1.1)", func() (core.Technique, error) {
-			return core.NewSCR(eng, core.Config{Lambda: 1.1, DetectViolations: true})
+			return core.New(eng, core.WithLambda(1.1), core.WithViolationDetection(0.01))
 		}},
 	}
 	fmt.Printf("%-10s %8s %8s %8s %10s %8s\n", "technique", "MSO", "TC", "numOpt", "numOpt%", "plans")

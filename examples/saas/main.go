@@ -79,22 +79,23 @@ func main() {
 	}
 	ref := harness.Percentile(costs, 0.5)
 
+	detect := core.WithViolationDetection(0.01)
 	configs := []struct {
 		label string
-		cfg   core.Config
+		opts  []core.Option
 	}{
-		{"SCR λ=1.2, unlimited cache", core.Config{Lambda: 1.2, DetectViolations: true}},
-		{"SCR λ=1.2, budget k=5", core.Config{Lambda: 1.2, PlanBudget: 5, DetectViolations: true}},
-		{"SCR λ=1.2, budget k=2", core.Config{Lambda: 1.2, PlanBudget: 2, DetectViolations: true}},
-		{"SCR dynamic λ∈[1.2,8], k=5", core.Config{Lambda: 1.2, PlanBudget: 5, DetectViolations: true,
-			Dynamic: &core.DynamicLambda{Min: 1.2, Max: 8, RefCost: ref}}},
+		{"SCR λ=1.2, unlimited cache", []core.Option{core.WithLambda(1.2), detect}},
+		{"SCR λ=1.2, budget k=5", []core.Option{core.WithLambda(1.2), core.WithPlanBudget(5), detect}},
+		{"SCR λ=1.2, budget k=2", []core.Option{core.WithLambda(1.2), core.WithPlanBudget(2), detect}},
+		{"SCR dynamic λ∈[1.2,8], k=5", []core.Option{core.WithLambda(1.2), core.WithPlanBudget(5), detect,
+			core.WithDynamicLambda(1.2, 8, ref)}},
 	}
 	fmt.Printf("multi-tenant workload: %d requests, %d distinct optimal plans\n\n",
 		len(insts), workload.DistinctOptimalPlans(insts))
 	fmt.Printf("%-30s %8s %8s %10s %8s %10s\n",
 		"configuration", "MSO", "TC", "numOpt%", "plans", "cache mem")
 	for _, c := range configs {
-		tech, err := core.NewSCR(eng, c.cfg)
+		tech, err := core.New(eng, c.opts...)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -102,103 +101,13 @@ func TestAdvisorDynamicRecommendation(t *testing.T) {
 	if d.RefCost != 500 {
 		t.Errorf("RefCost = %v, want median 500", d.RefCost)
 	}
-	// The recommendation must be accepted by NewSCR.
+	// The recommendation must be accepted by New.
 	rng := rand.New(rand.NewSource(1))
 	eng, err := pqotest.RandomEngine(rng, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSCR(eng, Config{Lambda: d.Min, Dynamic: d}); err != nil {
+	if _, err := New(eng, WithLambda(d.Min), WithDynamicLambda(d.Min, d.Max, d.RefCost)); err != nil {
 		t.Errorf("advisor-recommended config rejected: %v", err)
-	}
-}
-
-func TestScanOrderReducesScanLength(t *testing.T) {
-	// With a skewed instance distribution, ordering the instance list by
-	// usage should reduce selectivity-check scans per instance relative to
-	// insertion order.
-	run := func(order ScanOrder) (selChecks, instances int64) {
-		rng := rand.New(rand.NewSource(55))
-		eng, err := pqotest.RandomEngine(rng, 2, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewSCR(eng, Config{Lambda: 2, Scan: order, StoreAlways: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqRng := rand.New(rand.NewSource(66))
-		// Phase 1: diverse cold traffic populates the instance list with
-		// many entries that arrive BEFORE the hot cluster's entry.
-		for i := 0; i < 120; i++ {
-			if _, err := s.Process(context.Background(), pqotest.RandomSVector(seqRng, 2)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Phase 2: traffic concentrates on one hot point; insertion order
-		// must scan every cold entry first, usage order promotes the hot
-		// entry to the front after the first re-sort.
-		hot := []float64{0.31, 0.42}
-		for i := 0; i < 500; i++ {
-			sv := []float64{
-				math.Min(1, hot[0]*(0.98+0.04*seqRng.Float64())),
-				math.Min(1, hot[1]*(0.98+0.04*seqRng.Float64())),
-			}
-			if _, err := s.Process(context.Background(), sv); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st := s.Stats()
-		return st.SelChecks, st.Instances
-	}
-	baseChecks, n1 := run(ScanInsertion)
-	usageChecks, n2 := run(ScanByUsage)
-	areaChecks, n3 := run(ScanByArea)
-	if n1 != n2 || n2 != n3 {
-		t.Fatalf("instance counts differ: %d %d %d", n1, n2, n3)
-	}
-	if usageChecks > baseChecks {
-		t.Errorf("usage-ordered scan did %d checks, insertion order %d; expected fewer or equal",
-			usageChecks, baseChecks)
-	}
-	t.Logf("selectivity-check scans: insertion=%d by-usage=%d by-area=%d",
-		baseChecks, usageChecks, areaChecks)
-}
-
-func TestScanOrderString(t *testing.T) {
-	for o, want := range map[ScanOrder]string{
-		ScanInsertion: "insertion", ScanByArea: "by-area", ScanByUsage: "by-usage",
-	} {
-		if o.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(o), o.String(), want)
-		}
-	}
-	if ScanOrder(9).String() != "scan-order(?)" {
-		t.Error("unknown scan order string")
-	}
-}
-
-func TestScanOrderPreservesGuarantee(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	eng, err := pqotest.RandomEngine(rng, 3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, order := range []ScanOrder{ScanByArea, ScanByUsage} {
-		s, err := NewSCR(eng, Config{Lambda: 2, Scan: order})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 300; i++ {
-			sv := pqotest.RandomSVector(rng, 3)
-			dec, err := s.Process(context.Background(), sv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			so := eng.PlanCost(dec.Plan, sv) / eng.OptimalCost(sv)
-			if so > 2*(1+1e-9) {
-				t.Fatalf("scan order %v: SO=%v exceeds λ=2", order, so)
-			}
-		}
 	}
 }

@@ -108,7 +108,7 @@ func TestClusterSkewBoundOption(t *testing.T) {
 // TestSkewIgnoredWithoutEpochEngine: an epoch-less engine has no
 // generation to lag, so cluster stamps must not degrade anything.
 func TestSkewIgnoredWithoutEpochEngine(t *testing.T) {
-	s := mustSCR(t, twoPlaneEngine(t), Config{Lambda: 2})
+	s := mustSCR(t, twoPlaneEngine(t), WithLambda(2))
 	s.ObserveClusterEpoch(10)
 	if s.EpochSkew() != 0 || s.SkewLagging() {
 		t.Fatalf("epoch-less engine reports skew %d lagging=%v", s.EpochSkew(), s.SkewLagging())

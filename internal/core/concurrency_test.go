@@ -21,7 +21,7 @@ func TestConcurrentProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSCR(eng, Config{Lambda: 2})
+	s, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,9 @@ func TestSingleflightSharedMisses(t *testing.T) {
 
 // TestStressMixedOperations hammers one SCR from many goroutines with a
 // mixed workload — Process over hot and cold instances, ProbeCheck,
-// SweepRedundantPlans, Stats and Export — and asserts the counters
+// SweepRedundantPlans, Stats and Export, under a plan budget small enough
+// that evictions rewrite the instance list (forcing full index rebuilds)
+// while readers scan — and asserts the counters
 // reconcile exactly: every Process call must be accounted as precisely
 // one of read-path hit, write-path hit, shared optimizer call, or owned
 // optimizer call. Run with -race.
@@ -173,7 +175,7 @@ func TestStressMixedOperations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(eng, WithLambda(2), WithScanOrder(ScanByUsage))
+	s, err := New(eng, WithLambda(2), WithPlanBudget(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,6 +254,9 @@ func TestStressMixedOperations(t *testing.T) {
 	if st.CurPlans == 0 || s.NumInstances() == 0 {
 		t.Error("empty cache after stress run")
 	}
+	if st.Evictions == 0 {
+		t.Error("no eviction: the run never rewrote the instance list under concurrent readers")
+	}
 	// Plans referenced by instances must all exist (no dangling entries
 	// after concurrent sweeps).
 	snap, err := s.Export()
@@ -271,7 +276,7 @@ func TestConcurrentProcessWithBudgetAndSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSCR(eng, Config{Lambda: 1.5, PlanBudget: 3})
+	s, err := New(eng, WithLambda(1.5), WithPlanBudget(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ type optResult struct {
 // its optimizer calls through here too, so it honors the same breaker and
 // fault-injection sites as foreground traffic.
 func (s *SCR) callOptimizer(ctx context.Context, sv []float64) (*engine.CachedPlan, float64, uint64, error) {
-	if s.breaker == nil && s.cfg.OptimizerDeadline <= 0 && !s.cfg.DegradedFallback {
+	if s.breaker == nil && s.cfg.optimizerDeadline <= 0 && !s.cfg.degradedFallback {
 		return s.engOptimize(sv)
 	}
 	if !s.breaker.Allow() {
@@ -157,7 +157,7 @@ func (s *SCR) engOptimize(sv []float64) (*engine.CachedPlan, float64, uint64, er
 // cache on completion, so a slow optimizer still warms the cache for
 // future instances.
 func (s *SCR) optimizeBounded(ctx context.Context, sv []float64) (*engine.CachedPlan, float64, uint64, error) {
-	d := s.cfg.OptimizerDeadline
+	d := s.cfg.optimizerDeadline
 	if d <= 0 {
 		return s.safeOptimize(sv)
 	}

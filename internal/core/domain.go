@@ -38,7 +38,7 @@ import (
 // beyond every published element and flushLocked can extend the previous
 // snapshot — merging only the appended entries into the selectivity
 // index — instead of rebuilding O(n log n) from scratch. Any mutation
-// that is not an append (eviction, sweep, re-sort, import, plan-list
+// that is not an append (eviction, sweep, import, plan-list
 // change) must install a freshly allocated slice and set d.structural,
 // which forces the next flush down the full-rebuild path.
 
@@ -71,8 +71,8 @@ type writeDomain struct {
 	plans       map[string]*planEntry
 	plansSorted []*planEntry
 
-	// instances is the scan-ordered master instance list. Append-only
-	// between publications; see the invariant above.
+	// instances is the master instance list in insertion order.
+	// Append-only between publications; see the invariant above.
 	instances []*instanceEntry
 
 	// structural records that a non-append mutation happened since the
@@ -91,7 +91,7 @@ type writeDomain struct {
 }
 
 // init wires the domain to its owning SCR and publishes the initial
-// empty snapshot (version 1). Called once from NewSCR, before the SCR
+// empty snapshot (version 1). Called once from New, before the SCR
 // escapes its constructor.
 func (d *writeDomain) init(s *SCR) {
 	d.scr = s
@@ -179,7 +179,7 @@ func (d *writeDomain) flushLocked() {
 
 // mergeSelIndex extends a published snapshot's selectivity index with the
 // k entries appended since that snapshot was built. The previous index is
-// already weight-sorted and the appended entries' scan positions all
+// already weight-sorted and the appended entries' list positions all
 // follow the published ones, so sorting the k newcomers and merging —
 // previous entries first on weight ties — reproduces buildSelIndex's
 // stable sort exactly, in O(n + k log k).
@@ -292,13 +292,13 @@ func (d *writeDomain) manageCache(sv []float64, cp *engine.CachedPlan, optCost f
 	// it is only sound when the generation has not advanced since the
 	// optimizer call; after a mid-flight advance the plan is stored
 	// directly (always sound — the check is an optimization).
-	if !s.cfg.StoreAlways && len(d.plans) > 0 && epoch == s.costEpoch() {
+	if !s.cfg.storeAlways && len(d.plans) > 0 && epoch == s.costEpoch() {
 		minPE, minCost, err := d.minCostPlan(sv)
 		if err != nil {
 			return err
 		}
 		sMin := minCost / optCost
-		if sMin <= s.cfg.lambdaR() {
+		if sMin <= s.cfg.lambdaR {
 			// Redundant: discard the new plan, bind the instance to the
 			// cheapest existing plan with its sub-optimality.
 			s.ctr.redundantPlans.Add(1)
@@ -307,7 +307,7 @@ func (d *writeDomain) manageCache(sv []float64, cp *engine.CachedPlan, optCost f
 		}
 	}
 
-	if s.cfg.PlanBudget > 0 && len(d.plans) >= s.cfg.PlanBudget {
+	if s.cfg.planBudget > 0 && len(d.plans) >= s.cfg.planBudget {
 		d.evictLFU()
 	}
 	pe := &planEntry{cp: cp, fp: fp}
@@ -374,34 +374,6 @@ func (d *writeDomain) evictLFU() {
 	}
 	d.setInstancesLocked(kept)
 	d.scr.ctr.evictions.Add(1)
-}
-
-// resortInstances re-orders the master instance list per the configured
-// scan order (§6.2) into a fresh slice — the previous one is shared with
-// the published snapshot — and marks the publication. Called under the
-// domain mutex every resortEvery lookups; sorting is O(n log n) off the
-// hot path and keeps the scan prefix effective as the cache evolves.
-//
-//lint:allow hotalloc amortized writer-path resort, runs every resortEvery lookups rather than per request
-func (d *writeDomain) resortInstances() {
-	s := d.scr
-	if s.cfg.Scan == ScanInsertion {
-		return
-	}
-	insts := make([]*instanceEntry, len(d.instances))
-	copy(insts, d.instances)
-	switch s.cfg.Scan {
-	case ScanByArea:
-		sort.SliceStable(insts, func(i, j int) bool {
-			return regionWeight(insts[i].v) > regionWeight(insts[j].v)
-		})
-	case ScanByUsage:
-		sort.SliceStable(insts, func(i, j int) bool {
-			return insts[i].u.Load() > insts[j].u.Load()
-		})
-	}
-	d.setInstancesLocked(insts)
-	d.publishLocked()
 }
 
 // sweepLocked is the body of SweepRedundantPlans (Appendix F): it tests
@@ -516,8 +488,8 @@ func (d *writeDomain) seedLocked(sv []float64, cp *engine.CachedPlan, optCost, s
 	fp := cp.Fingerprint()
 	pe, ok := d.plans[fp]
 	if !ok {
-		if s.cfg.PlanBudget > 0 && len(d.plans) >= s.cfg.PlanBudget {
-			return fmt.Errorf("%w: seeding would exceed the plan budget %d", ErrBudgetExhausted, s.cfg.PlanBudget)
+		if s.cfg.planBudget > 0 && len(d.plans) >= s.cfg.planBudget {
+			return fmt.Errorf("%w: seeding would exceed the plan budget %d", ErrBudgetExhausted, s.cfg.planBudget)
 		}
 		pe = &planEntry{cp: cp, fp: fp}
 		d.insertPlanLocked(pe)

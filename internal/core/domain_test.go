@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ func TestSweepCoalescesIntoSinglePublication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustSCR(t, eng, Config{Lambda: 2, StoreAlways: true})
+	s := mustSCR(t, eng, WithLambda(2), WithStoreAlways())
 	for i := 0; i < 300; i++ {
 		if _, err := s.Process(context.Background(), pqotest.RandomSVector(rng, 3)); err != nil {
 			t.Fatal(err)
@@ -56,7 +57,7 @@ func TestSweepCoalescesIntoSinglePublication(t *testing.T) {
 // list — lands under one publication.
 func TestImportSinglePublication(t *testing.T) {
 	eng := realEngine(t)
-	src := mustSCR(t, eng, Config{Lambda: 2, StoreAlways: true})
+	src := mustSCR(t, eng, WithLambda(2), WithStoreAlways())
 	insts, err := workload.GenerateSet(2, 40, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func TestImportSinglePublication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := mustSCR(t, eng, Config{Lambda: 2})
+	dst := mustSCR(t, eng, WithLambda(2))
 	before := dst.snapshot().version
 	if err := dst.Import(data); err != nil {
 		t.Fatal(err)
@@ -97,7 +98,7 @@ func TestWriteDomainIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := mustSCR(t, eng, Config{Lambda: 2})
+		s := mustSCR(t, eng, WithLambda(2))
 		if err := dir.Attach(fmt.Sprintf("t%d", i), s); err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +174,7 @@ func TestSnapshotImmutableUnderMultiTemplateChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scrs[i] = mustSCR(t, eng, Config{Lambda: 2, PlanBudget: 4, Scan: ScanByUsage, StoreAlways: true})
+		scrs[i] = mustSCR(t, eng, WithLambda(2), WithPlanBudget(4), WithStoreAlways())
 		if err := dir.Attach(fmt.Sprintf("t%d", i), scrs[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -200,25 +201,31 @@ func TestSnapshotImmutableUnderMultiTemplateChurn(t *testing.T) {
 		}
 	}
 
-	var wg sync.WaitGroup
+	var (
+		wg    sync.WaitGroup
+		swept [templates]atomic.Int64
+	)
 	stop := make(chan struct{})
 	for w := 0; w < templates*writersPer; w++ {
 		wg.Add(1)
-		go func(s *SCR, stream [][]float64) {
+		go func(ti int, stream [][]float64) {
 			defer wg.Done()
+			s := scrs[ti]
 			for i, sv := range stream {
 				if _, err := s.Process(ctx, sv); err != nil {
 					t.Error(err)
 					return
 				}
 				if i%40 == 39 {
-					if _, err := s.SweepRedundantPlans(); err != nil {
+					n, err := s.SweepRedundantPlans()
+					if err != nil {
 						t.Error(err)
 						return
 					}
+					swept[ti].Add(int64(n))
 				}
 			}
-		}(scrs[w%templates], streams[w])
+		}(w%templates, streams[w])
 	}
 
 	var readers sync.WaitGroup
@@ -255,6 +262,9 @@ func TestSnapshotImmutableUnderMultiTemplateChurn(t *testing.T) {
 		if final.version <= 0 {
 			t.Fatalf("template %d final version %d, want > 0", i, final.version)
 		}
+		if s.Stats().Evictions+swept[i].Load() == 0 {
+			t.Fatalf("template %d: no eviction or sweep drop, the churn never rewrote the instance list", i)
+		}
 		if len(final.index.keys) != len(final.instances) {
 			t.Fatalf("template %d index covers %d entries, instance list has %d",
 				i, len(final.index.keys), len(final.instances))
@@ -276,7 +286,7 @@ func TestDirectoryConsistencyUnderChurn(t *testing.T) {
 	const names = 8
 	scrs := make([]*SCR, names)
 	for i := range scrs {
-		scrs[i] = mustSCR(t, eng, Config{Lambda: 2})
+		scrs[i] = mustSCR(t, eng, WithLambda(2))
 	}
 
 	stop := make(chan struct{})
@@ -322,7 +332,7 @@ func TestDirectoryConsistencyUnderChurn(t *testing.T) {
 	wg.Wait()
 	close(stop)
 
-	if err := dir.Attach("t0", mustSCR(t, eng, Config{Lambda: 2})); err == nil {
+	if err := dir.Attach("t0", mustSCR(t, eng, WithLambda(2))); err == nil {
 		dir.Detach("t0")
 	}
 	if _, ok := dir.Lookup("missing"); ok {
@@ -343,11 +353,11 @@ func TestDirectoryAttachRejectsDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := NewDirectory()
-	s := mustSCR(t, eng, Config{Lambda: 2})
+	s := mustSCR(t, eng, WithLambda(2))
 	if err := dir.Attach("q1", s); err != nil {
 		t.Fatal(err)
 	}
-	if err := dir.Attach("q1", mustSCR(t, eng, Config{Lambda: 2})); err == nil {
+	if err := dir.Attach("q1", mustSCR(t, eng, WithLambda(2))); err == nil {
 		t.Fatal("duplicate Attach accepted")
 	}
 	if err := dir.Attach("q2", nil); err == nil {

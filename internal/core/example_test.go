@@ -19,7 +19,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	scr, err := core.NewSCR(eng, core.Config{Lambda: 2})
+	scr, err := core.New(eng, core.WithLambda(2))
 	if err != nil {
 		panic(err)
 	}

@@ -2,31 +2,49 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
 // Option configures an SCR built with New. Options validate their inputs
 // and return errors instead of silently substituting defaults; an invalid
 // option fails New with an error wrapping ErrInvalidConfig.
-type Option func(*Config) error
+type Option func(*config) error
 
 // DefaultLambda is the sub-optimality bound New uses when no WithLambda
 // option is given (the λ=2 operating point the paper evaluates most).
 const DefaultLambda = 2.0
 
-// New builds an SCR over eng from functional options. It replaces the
-// Config-struct constructor NewSCR: every knob is an explicit option with
-// validation, and omitted options take the documented defaults (λ=2,
-// λr=√λ, cost-check limit 8, insertion scan order, no plan budget, no
-// violation detection).
+// New builds an SCR over eng from functional options, the only way to
+// construct one. Every option checks its own range; omitted options take
+// the documented defaults (λ=2, λr=√λ, cost-check limit 8, cluster skew
+// bound 1, no plan budget, no violation detection). The one rule that
+// spans two options, λr ≤ λ, is checked here once all have applied.
 func New(eng Engine, opts ...Option) (*SCR, error) {
-	cfg := Config{Lambda: DefaultLambda}
+	cfg := config{lambda: DefaultLambda, costCheckLimit: 8, skewBound: 1}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
 		}
 	}
-	return NewSCR(eng, cfg)
+	if cfg.lambdaR > cfg.lambda {
+		return nil, optErr("lambdaR %v must not exceed lambda %v", cfg.lambdaR, cfg.lambda)
+	}
+	switch {
+	case cfg.storeAlways:
+		cfg.lambdaR = 1
+	case cfg.lambdaR == 0:
+		cfg.lambdaR = math.Sqrt(cfg.lambda)
+	}
+	s := &SCR{cfg: cfg, eng: eng}
+	if ee, ok := eng.(EpochEngine); ok {
+		s.epochEng = ee
+	}
+	if cfg.breakerThreshold > 0 {
+		s.breaker = newBreaker(cfg.breakerThreshold, cfg.breakerCooldown)
+	}
+	s.dom.init(s)
+	return s, nil
 }
 
 func optErr(format string, args ...interface{}) error {
@@ -36,11 +54,11 @@ func optErr(format string, args ...interface{}) error {
 // WithLambda sets the cost sub-optimality bound λ ≥ 1 every processed
 // instance must satisfy.
 func WithLambda(lambda float64) Option {
-	return func(c *Config) error {
+	return func(c *config) error {
 		if lambda < 1 {
 			return optErr("lambda %v must be >= 1", lambda)
 		}
-		c.Lambda = lambda
+		c.lambda = lambda
 		return nil
 	}
 }
@@ -49,26 +67,27 @@ func WithLambda(lambda float64) Option {
 // get a bound near max, expensive ones near min, decaying exponentially on
 // the refCost scale.
 func WithDynamicLambda(min, max, refCost float64) Option {
-	return func(c *Config) error {
+	return func(c *config) error {
 		if min < 1 || max < min {
 			return optErr("dynamic lambda range [%v, %v] invalid", min, max)
 		}
 		if refCost <= 0 {
 			return optErr("dynamic lambda refCost %v must be > 0", refCost)
 		}
-		c.Dynamic = &DynamicLambda{Min: min, Max: max, RefCost: refCost}
+		c.dynamic = &DynamicLambda{Min: min, Max: max, RefCost: refCost}
 		return nil
 	}
 }
 
 // WithRedundancyThreshold sets the redundancy-check threshold λr in
-// [1, λ] (Appendix E). Without this option λr defaults to √λ.
+// [1, λ] (Appendix E). Without this option λr defaults to √λ; New rejects
+// a λr above the final λ.
 func WithRedundancyThreshold(lambdaR float64) Option {
-	return func(c *Config) error {
+	return func(c *config) error {
 		if lambdaR < 1 {
 			return optErr("lambdaR %v must be >= 1", lambdaR)
 		}
-		c.LambdaR = lambdaR
+		c.lambdaR = lambdaR
 		return nil
 	}
 }
@@ -76,8 +95,8 @@ func WithRedundancyThreshold(lambdaR float64) Option {
 // WithStoreAlways disables the redundancy check entirely: every newly
 // optimized plan is kept (λr = 1).
 func WithStoreAlways() Option {
-	return func(c *Config) error {
-		c.StoreAlways = true
+	return func(c *config) error {
+		c.storeAlways = true
 		return nil
 	}
 }
@@ -85,11 +104,11 @@ func WithStoreAlways() Option {
 // WithPlanBudget sets the hard limit k ≥ 1 on cached plans (§6.3.1),
 // enforced by LFU eviction. Without this option the cache is unbounded.
 func WithPlanBudget(k int) Option {
-	return func(c *Config) error {
+	return func(c *config) error {
 		if k < 1 {
 			return optErr("plan budget %d must be >= 1 (omit the option for unlimited)", k)
 		}
-		c.PlanBudget = k
+		c.planBudget = k
 		return nil
 	}
 }
@@ -97,11 +116,11 @@ func WithPlanBudget(k int) Option {
 // WithCostCheckLimit bounds the number of Recost calls per getPlan to
 // n ≥ 1 (§6.2's pruning heuristic). Without this option the limit is 8.
 func WithCostCheckLimit(n int) Option {
-	return func(c *Config) error {
+	return func(c *config) error {
 		if n < 1 {
 			return optErr("cost-check limit %d must be >= 1 (use WithoutCostCheck to disable)", n)
 		}
-		c.CostCheckLimit = n
+		c.costCheckLimit = n
 		return nil
 	}
 }
@@ -109,43 +128,24 @@ func WithCostCheckLimit(n int) Option {
 // WithoutCostCheck disables the cost check entirely: instances failing the
 // selectivity check go straight to the optimizer.
 func WithoutCostCheck() Option {
-	return func(c *Config) error {
-		c.CostCheckLimit = -1
-		return nil
-	}
-}
-
-// WithGLCutoff rejects cost-check candidates whose G·L factor exceeds
-// cutoff > 1.
-func WithGLCutoff(cutoff float64) Option {
-	return func(c *Config) error {
-		if cutoff <= 1 {
-			return optErr("GL cutoff %v must be > 1", cutoff)
-		}
-		c.GLCutoff = cutoff
+	return func(c *config) error {
+		c.costCheckLimit = -1
 		return nil
 	}
 }
 
 // WithCandidateOrderByL sorts cost-check candidates by increasing L
-// instead of the paper's increasing G·L (see Config.OrderCandidatesByL).
+// instead of the paper's increasing G·L. Rationale (an extension over
+// §6.2): the cost check replaces G with the measured ratio R, so a
+// candidate's G is irrelevant to whether R·L ≤ λ/S can hold — only a
+// small L gives headroom. Instances the new one *dominates* have L = 1
+// and are the most likely to pass, yet have the largest G·L and are
+// pruned first under GL order. L-ordering markedly reduces optimizer
+// calls on high-dimensional templates (see the candidate-order ablation
+// bench).
 func WithCandidateOrderByL() Option {
-	return func(c *Config) error {
-		c.OrderCandidatesByL = true
-		return nil
-	}
-}
-
-// WithScanOrder selects the instance-list traversal order for the
-// selectivity check (§6.2's alternatives).
-func WithScanOrder(o ScanOrder) Option {
-	return func(c *Config) error {
-		switch o {
-		case ScanInsertion, ScanByArea, ScanByUsage:
-			c.Scan = o
-		default:
-			return optErr("unknown scan order %d", int(o))
-		}
+	return func(c *config) error {
+		c.orderByL = true
 		return nil
 	}
 }
@@ -158,8 +158,8 @@ func WithScanOrder(o ScanOrder) Option {
 // the full degradation ladder. Context cancellation is never absorbed:
 // a cancelled caller still gets an ErrCancelled error.
 func WithDegradedFallback() Option {
-	return func(c *Config) error {
-		c.DegradedFallback = true
+	return func(c *config) error {
+		c.degradedFallback = true
 		return nil
 	}
 }
@@ -170,11 +170,11 @@ func WithDegradedFallback() Option {
 // instance is served degraded (with WithDegradedFallback) or fails with
 // ErrOptimizerTimeout.
 func WithOptimizerDeadline(d time.Duration) Option {
-	return func(c *Config) error {
+	return func(c *config) error {
 		if d <= 0 {
 			return optErr("optimizer deadline %v must be > 0", d)
 		}
-		c.OptimizerDeadline = d
+		c.optimizerDeadline = d
 		return nil
 	}
 }
@@ -186,15 +186,15 @@ func WithOptimizerDeadline(d time.Duration) Option {
 // that miss the cache are served degraded (with WithDegradedFallback) or
 // fail with ErrBreakerOpen.
 func WithCircuitBreaker(failures int, cooldown time.Duration) Option {
-	return func(c *Config) error {
+	return func(c *config) error {
 		if failures < 1 {
 			return optErr("breaker threshold %d must be >= 1", failures)
 		}
 		if cooldown <= 0 {
 			return optErr("breaker cooldown %v must be > 0", cooldown)
 		}
-		c.BreakerThreshold = failures
-		c.BreakerCooldown = cooldown
+		c.breakerThreshold = failures
+		c.breakerCooldown = cooldown
 		return nil
 	}
 }
@@ -205,11 +205,11 @@ func WithCircuitBreaker(failures int, cooldown time.Duration) Option {
 // bound is 1: adjacent generations only, matching the epoch coordinator's
 // default withhold rule (docs/ROBUSTNESS.md).
 func WithClusterSkewBound(n int) Option {
-	return func(c *Config) error {
+	return func(c *config) error {
 		if n < 1 {
 			return optErr("cluster skew bound %d must be >= 1", n)
 		}
-		c.SkewBound = n
+		c.skewBound = n
 		return nil
 	}
 }
@@ -217,12 +217,12 @@ func WithClusterSkewBound(n int) Option {
 // WithViolationDetection enables Appendix G's BCG-violation quarantine
 // with the given relative tolerance in (0, 1).
 func WithViolationDetection(tolerance float64) Option {
-	return func(c *Config) error {
+	return func(c *config) error {
 		if tolerance <= 0 || tolerance >= 1 {
 			return optErr("violation tolerance %v must be in (0, 1)", tolerance)
 		}
-		c.DetectViolations = true
-		c.ViolationTolerance = tolerance
+		c.detectViolations = true
+		c.violationTol = tolerance
 		return nil
 	}
 }

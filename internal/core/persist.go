@@ -99,8 +99,8 @@ func (s *SCR) Import(data []byte) error {
 		pe := &planEntry{cp: cp, fp: cp.Fingerprint()}
 		byFP[pe.fp] = pe
 	}
-	if s.cfg.PlanBudget > 0 && len(byFP) > s.cfg.PlanBudget {
-		return fmt.Errorf("%w: import has %d plans, budget is %d", ErrBudgetExhausted, len(byFP), s.cfg.PlanBudget)
+	if s.cfg.planBudget > 0 && len(byFP) > s.cfg.planBudget {
+		return fmt.Errorf("%w: import has %d plans, budget is %d", ErrBudgetExhausted, len(byFP), s.cfg.planBudget)
 	}
 	var insts []*instanceEntry
 	// Imported anchors are adopted into the engine's current cost epoch:

@@ -45,7 +45,7 @@ func realEngine(t *testing.T) *engine.TemplateEngine {
 
 func TestExportImportRoundTrip(t *testing.T) {
 	eng := realEngine(t)
-	s1, err := NewSCR(eng, Config{Lambda: 2})
+	s1, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 
 	// A fresh SCR (new process, same engine) imports the cache and serves
 	// the same instances without any optimizer call.
-	s2, err := NewSCR(eng, Config{Lambda: 2})
+	s2, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 
 func TestImportValidation(t *testing.T) {
 	eng := realEngine(t)
-	s, err := NewSCR(eng, Config{Lambda: 2})
+	s, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +122,11 @@ func TestImportValidation(t *testing.T) {
 		t.Errorf("import into non-empty cache: err = %v", err)
 	}
 	// Budget enforcement on import.
-	s2, err := NewSCR(eng, Config{Lambda: 2, PlanBudget: 1})
+	s2, err := New(eng, WithLambda(2), WithPlanBudget(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3, err := NewSCR(eng, Config{Lambda: 2})
+	s3, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestImportRequiresRehydrator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSCR(eng, Config{Lambda: 2})
+	s, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestImportedGuaranteeStillHolds(t *testing.T) {
 	// After a round trip, the λ guarantee must hold for fresh instances:
 	// the imported S and C values drive the checks.
 	eng := realEngine(t)
-	s1, err := NewSCR(eng, Config{Lambda: 2})
+	s1, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestImportedGuaranteeStillHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewSCR(eng, Config{Lambda: 2})
+	s2, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestImportedGuaranteeStillHolds(t *testing.T) {
 
 func TestInspectSnapshot(t *testing.T) {
 	eng := realEngine(t)
-	s, err := NewSCR(eng, Config{Lambda: 2})
+	s, err := New(eng, WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -377,7 +377,7 @@ func (s *SCR) revalidateEntry(ctx context.Context, r *Revalidation, e *instanceE
 		// sub-optimality is bounded by 1 by definition.
 		sNew = 1
 	}
-	if sNew <= s.cfg.lambdaR() {
+	if sNew <= s.cfg.lambdaR {
 		e.anc.Store(&anchor{c: optCost, s: sNew, epoch: ep})
 		r.demoted.Add(1)
 		s.ctr.revalDemoted.Add(1)

@@ -247,7 +247,7 @@ func TestRevalidateSuperseded(t *testing.T) {
 }
 
 func TestRevalidateRequiresEpochEngine(t *testing.T) {
-	s := mustSCR(t, twoPlaneEngine(t), Config{Lambda: 2})
+	s := mustSCR(t, twoPlaneEngine(t), WithLambda(2))
 	if _, err := s.Revalidate(context.Background(), 1); err == nil {
 		t.Fatal("Revalidate on an epoch-less engine must fail")
 	} else if !errors.Is(err, ErrEpochUnsupported) {

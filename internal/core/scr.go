@@ -13,79 +13,48 @@ import (
 	"repro/internal/stripe"
 )
 
-// Config parameterizes SCR.
-//
-// Deprecated: Config retains its original zero-value-magic semantics
-// (LambdaR 0 → √λ, CostCheckLimit 0 → 8, ViolationTolerance 0 → 1%) for
-// callers of NewSCR. New code should build SCRs with New and functional
-// options (WithLambda, WithPlanBudget, WithDynamicLambda, ...), which
-// validate every value explicitly.
-type Config struct {
-	// Lambda is the cost sub-optimality bound λ ≥ 1 every processed
+// config is SCR's configuration. Only Options fill it, and New supplies
+// the defaults, so every field holds its effective value.
+type config struct {
+	// lambda is the cost sub-optimality bound λ ≥ 1 every processed
 	// instance must satisfy (SO(q) ≤ λ).
-	Lambda float64
-	// LambdaR is the redundancy-check threshold λr < λ. Zero selects the
-	// paper's default √λ (Appendix E). Set StoreAlways to disable the
-	// redundancy check entirely (λr = 1, i.e. keep every new plan).
-	LambdaR     float64
-	StoreAlways bool
-	// PlanBudget is the hard limit k on cached plans; 0 means unlimited
+	lambda float64
+	// lambdaR is the redundancy-check threshold λr in [1, λ]: √λ by
+	// default (Appendix E), 1 under storeAlways.
+	lambdaR float64
+	// storeAlways skips the redundancy check: every new plan is kept.
+	storeAlways bool
+	// planBudget is the hard limit k on cached plans; 0 means unlimited
 	// (§6.3.1).
-	PlanBudget int
-	// CostCheckLimit bounds the number of Recost calls per getPlan: the
+	planBudget int
+	// costCheckLimit bounds the number of Recost calls per getPlan: the
 	// selectivity check collects cost-check candidates in increasing GL
-	// order and rejects the rest (§6.2's pruning heuristic). Zero selects
-	// the default of 8. Negative disables the cost check entirely.
-	CostCheckLimit int
-	// GLCutoff additionally rejects cost-check candidates whose GL exceeds
-	// this value; zero disables the cutoff.
-	GLCutoff float64
-	// OrderCandidatesByL sorts cost-check candidates by increasing L
-	// instead of the paper's increasing G·L. Rationale (an extension over
-	// §6.2): the cost check replaces G with the measured ratio R, so a
-	// candidate's G is irrelevant to whether R·L ≤ λ/S can hold — only a
-	// small L gives headroom. Instances the new one *dominates* have L = 1
-	// and are the most likely to pass, yet have the largest G·L and are
-	// pruned first under GL order. L-ordering markedly reduces optimizer
-	// calls on high-dimensional templates (see the candidate-order
-	// ablation bench).
-	OrderCandidatesByL bool
-	// Scan selects the instance-list traversal order for the selectivity
-	// check (§6.2's alternatives): insertion order (default), decreasing
-	// selectivity-region area, or decreasing usage count.
-	Scan ScanOrder
-	// DetectViolations enables Appendix G: instances whose recost reveals
-	// a BCG violation are quarantined from future cost-check reuse.
-	DetectViolations bool
-	// ViolationTolerance is the relative slack for violation detection;
-	// zero selects 1%.
-	ViolationTolerance float64
-	// Dynamic enables Appendix D's per-instance λ; nil keeps λ static.
-	Dynamic *DynamicLambda
+	// order and rejects the rest (§6.2's pruning heuristic). Negative
+	// disables the cost check entirely.
+	costCheckLimit int
+	// orderByL sorts cost-check candidates by increasing L instead of
+	// G·L (WithCandidateOrderByL).
+	orderByL bool
+	// detectViolations enables Appendix G: instances whose recost reveals
+	// a BCG violation beyond the relative slack violationTol are
+	// quarantined from future cost-check reuse.
+	detectViolations bool
+	violationTol     float64
+	// dynamic enables Appendix D's per-instance λ; nil keeps λ static.
+	dynamic *DynamicLambda
 
-	// DegradedFallback enables degraded-mode serving: when the optimizer
-	// is unavailable (error, panic, deadline, open breaker) Process falls
-	// back to the cheapest cached plan and returns a Decision flagged
-	// Degraded instead of an error (docs/ROBUSTNESS.md).
-	DegradedFallback bool
-	// OptimizerDeadline, when positive, bounds each full optimizer call;
-	// a call exceeding it is abandoned (it still populates the cache if it
-	// eventually completes) and the instance is served degraded.
-	OptimizerDeadline time.Duration
-	// BreakerThreshold, when positive, arms a circuit breaker on the
-	// optimizer: after this many consecutive failures/timeouts the breaker
-	// opens and optimizer calls are skipped for BreakerCooldown, then a
-	// half-open probe decides whether to close again.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// degradedFallback, optimizerDeadline and the breaker fields are the
+	// degraded-mode knobs (WithDegradedFallback, WithOptimizerDeadline,
+	// WithCircuitBreaker; docs/ROBUSTNESS.md). Zero values disarm them.
+	degradedFallback  bool
+	optimizerDeadline time.Duration
+	breakerThreshold  int
+	breakerCooldown   time.Duration
 
-	// SkewBound is the cross-node statistics-generation skew the node
-	// tolerates before flagging its decisions: when the observed cluster
-	// epoch (ObserveClusterEpoch) exceeds the node's own epoch by more
-	// than this many generations, every decision is served degraded with
-	// DegradedEpochSkew. Zero selects the default of 1 — adjacent
-	// generations only, matching the coordinator's default withhold rule.
-	SkewBound int
+	// skewBound is the cross-node statistics-generation skew the node
+	// tolerates before flagging its decisions with DegradedEpochSkew
+	// (WithClusterSkewBound).
+	skewBound int
 }
 
 // DynamicLambda maps an instance's optimal cost to a λ in [Min, Max] via an
@@ -99,26 +68,12 @@ type DynamicLambda struct {
 
 // lambdaFor returns the sub-optimality bound to enforce for an instance
 // whose optimal cost is c.
-func (c0 *Config) lambdaFor(c float64) float64 {
-	if c0.Dynamic == nil {
-		return c0.Lambda
+func (c0 *config) lambdaFor(c float64) float64 {
+	if c0.dynamic == nil {
+		return c0.lambda
 	}
-	d := c0.Dynamic
-	ref := d.RefCost
-	if ref <= 0 {
-		ref = 1
-	}
-	return d.Min + (d.Max-d.Min)*math.Exp(-c/ref)
-}
-
-func (c0 *Config) lambdaR() float64 {
-	if c0.StoreAlways {
-		return 1
-	}
-	if c0.LambdaR > 0 {
-		return c0.LambdaR
-	}
-	return math.Sqrt(c0.Lambda)
+	d := c0.dynamic
+	return d.Min + (d.Max-d.Min)*math.Exp(-c/d.RefCost)
 }
 
 // lambdaMax is the loosest sub-optimality bound any instance can be held
@@ -126,56 +81,11 @@ func (c0 *Config) lambdaR() float64 {
 // selectivity-index search window — an entry can only pass the
 // selectivity check for a query whose region weight is within a λmax
 // factor of the entry's (see selHit).
-func (c0 *Config) lambdaMax() float64 {
-	if c0.Dynamic != nil {
-		return c0.Dynamic.Max
+func (c0 *config) lambdaMax() float64 {
+	if c0.dynamic != nil {
+		return c0.dynamic.Max
 	}
-	return c0.Lambda
-}
-
-func (c0 *Config) costCheckLimit() int {
-	if c0.CostCheckLimit == 0 {
-		return 8
-	}
-	return c0.CostCheckLimit
-}
-
-func (c0 *Config) validate() error {
-	if c0.Lambda < 1 {
-		return optErr("lambda %v must be >= 1", c0.Lambda)
-	}
-	if c0.LambdaR != 0 && (c0.LambdaR < 1 || c0.LambdaR > c0.Lambda) {
-		return optErr("lambdaR %v must lie in [1, lambda]", c0.LambdaR)
-	}
-	if c0.PlanBudget < 0 {
-		return optErr("plan budget %v must be >= 0", c0.PlanBudget)
-	}
-	if d := c0.Dynamic; d != nil {
-		if d.Min < 1 || d.Max < d.Min {
-			return optErr("dynamic lambda range [%v,%v] invalid", d.Min, d.Max)
-		}
-	}
-	if c0.OptimizerDeadline < 0 {
-		return optErr("optimizer deadline %v must be >= 0", c0.OptimizerDeadline)
-	}
-	if c0.BreakerThreshold < 0 {
-		return optErr("breaker threshold %d must be >= 0", c0.BreakerThreshold)
-	}
-	if c0.BreakerThreshold > 0 && c0.BreakerCooldown <= 0 {
-		return optErr("breaker cooldown %v must be > 0", c0.BreakerCooldown)
-	}
-	if c0.SkewBound < 0 {
-		return optErr("cluster skew bound %d must be >= 0", c0.SkewBound)
-	}
-	return nil
-}
-
-// skewBound is the effective cross-node skew tolerance (generations).
-func (c0 *Config) skewBound() uint64 {
-	if c0.SkewBound > 0 {
-		return uint64(c0.SkewBound)
-	}
-	return 1
+	return c0.lambda
 }
 
 // planEntry is one plan in the plan cache's plan list.
@@ -286,7 +196,8 @@ type counters struct {
 // copy-on-write on every plan-set change, so the published header always
 // names an array the master will never touch.
 type cacheSnapshot struct {
-	// instances is the scan-ordered instance list (the 5-tuples of §6.1).
+	// instances is the instance list in insertion order (the 5-tuples of
+	// §6.1).
 	instances []*instanceEntry
 	// plans is the plan list in ascending fingerprint order — the
 	// deterministic iteration the degraded fallback and Export need.
@@ -321,7 +232,7 @@ type cacheSnapshot struct {
 // re-checks the cache once more before optimizing, so a burst of
 // identical cold instances performs exactly one optimizer call.
 type SCR struct {
-	cfg Config
+	cfg config
 	eng Engine
 	// epochEng is eng's versioned-statistics surface, nil when the engine
 	// has no epoch lifecycle (then every anchor is at epoch 0 forever and
@@ -350,32 +261,12 @@ type SCR struct {
 	// clusterEpoch is the highest cluster-wide statistics generation the
 	// node has observed via ObserveClusterEpoch (zero until a coordinator
 	// speaks). When it runs ahead of the engine's own epoch by more than
-	// cfg.skewBound() generations, Process flags every decision with
+	// cfg.skewBound generations, Process flags every decision with
 	// DegradedEpochSkew instead of silently serving across the bound.
 	clusterEpoch atomic.Uint64
 
-	flight  flightGroup
-	lookups atomic.Int64
-	ctr     counters
-}
-
-// NewSCR returns an SCR technique over eng with the given configuration.
-//
-// Deprecated: use New with functional options; NewSCR remains for one
-// release for callers holding a Config.
-func NewSCR(eng Engine, cfg Config) (*SCR, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	s := &SCR{cfg: cfg, eng: eng}
-	if ee, ok := eng.(EpochEngine); ok {
-		s.epochEng = ee
-	}
-	if cfg.BreakerThreshold > 0 {
-		s.breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-	}
-	s.dom.init(s)
-	return s, nil
+	flight flightGroup
+	ctr    counters
 }
 
 // statsEpoch returns the engine's current statistics epoch id, 0 for
@@ -446,7 +337,7 @@ func (s *SCR) EpochSkew() uint64 {
 // default 1) — the condition under which Process flags every decision
 // DegradedEpochSkew and health surfaces should report the node degraded.
 func (s *SCR) SkewLagging() bool {
-	return s.EpochSkew() > s.cfg.skewBound()
+	return s.EpochSkew() > uint64(s.cfg.skewBound)
 }
 
 // flagSkew demotes a healthy decision to an explicitly flagged one when
@@ -472,10 +363,10 @@ func (s *SCR) flagSkew(dec *Decision) *Decision {
 
 // Name identifies the technique and its λ, e.g. "SCR(2)".
 func (s *SCR) Name() string {
-	if s.cfg.Dynamic != nil {
-		return fmt.Sprintf("SCR(dyn %g..%g)", s.cfg.Dynamic.Min, s.cfg.Dynamic.Max)
+	if d := s.cfg.dynamic; d != nil {
+		return fmt.Sprintf("SCR(dyn %g..%g)", d.Min, d.Max)
 	}
-	return fmt.Sprintf("SCR(%g)", s.cfg.Lambda)
+	return fmt.Sprintf("SCR(%g)", s.cfg.lambda)
 }
 
 // Stats returns cumulative counters. It reads the published snapshot and
@@ -602,8 +493,7 @@ func (s *SCR) Process(ctx context.Context, sv []float64) (dec *Decision, err err
 	if err := ctx.Err(); err != nil {
 		return nil, cancelled(err)
 	}
-	s.maybeResort()
-	if s.cfg.DegradedFallback {
+	if s.cfg.degradedFallback {
 		// Last-resort containment: a panic anywhere below (an engine crash
 		// bug reached through the checks) becomes a degraded decision.
 		defer func() {
@@ -616,7 +506,7 @@ func (s *SCR) Process(ctx context.Context, sv []float64) (dec *Decision, err err
 
 	dec0, seen, err := s.readPath(ctx, sv)
 	switch {
-	case err != nil && s.cfg.DegradedFallback && !errors.Is(err, ErrCancelled):
+	case err != nil && s.cfg.degradedFallback && !errors.Is(err, ErrCancelled):
 		// Engine failure inside the checks. Fall through to the optimizer
 		// path: if the optimizer is healthy the guarantee still holds, and
 		// if it is not, the fallback below serves degraded.
@@ -639,7 +529,7 @@ func (s *SCR) Process(ctx context.Context, sv []float64) (dec *Decision, err err
 			//lint:allow rcupublish intentional second-chance re-check after winning the flight
 			dec, _, err := s.readPath(ctx, sv)
 			switch {
-			case err != nil && s.cfg.DegradedFallback && !errors.Is(err, ErrCancelled):
+			case err != nil && s.cfg.degradedFallback && !errors.Is(err, ErrCancelled):
 				s.ctr.readPathErrors.Add(1)
 			case err != nil:
 				return nil, err
@@ -656,14 +546,14 @@ func (s *SCR) Process(ctx context.Context, sv []float64) (dec *Decision, err err
 			err = fmt.Errorf("%w: optimizer returned no plan", ErrNoPlan)
 		}
 		if err != nil {
-			if s.cfg.DegradedFallback {
+			if s.cfg.degradedFallback {
 				return s.degrade(sv, degradeReason(err), err)
 			}
 			return nil, err
 		}
 		s.ctr.optCalls.Add(1)
 		if err := s.storePlan(sv, cp, optCost, ep); err != nil {
-			if s.cfg.DegradedFallback {
+			if s.cfg.degradedFallback {
 				// The freshly optimized plan is λ-optimal here by
 				// definition; only the cache bookkeeping failed. Serve it.
 				return &Decision{Plan: cp, Optimized: true, Via: ViaOptimizer, Epoch: ep,
@@ -697,23 +587,6 @@ func (s *SCR) storePlan(sv []float64, cp *engine.CachedPlan, optCost float64, ep
 	return d.manageCache(sv, cp, optCost, epoch)
 }
 
-// maybeResort refreshes the instance-list ordering per the configured scan
-// order (§6.2) on a lookup cadence: usage counts and region areas evolve
-// with traffic, so the ordering is refreshed periodically rather than only
-// on insertion.
-func (s *SCR) maybeResort() {
-	if s.cfg.Scan == ScanInsertion {
-		return
-	}
-	if s.lookups.Add(1)%resortEvery != 0 {
-		return
-	}
-	d := &s.dom
-	d.lock()
-	defer d.unlock()
-	d.resortInstances()
-}
-
 // snapshot returns the published cache snapshot: one atomic load, no
 // locks. The snapshot is immutable (instanceEntry atomic fields aside)
 // and stays valid indefinitely — writers publish replacements, they never
@@ -727,8 +600,19 @@ func (s *SCR) snapshot() *cacheSnapshot {
 // re-check when nothing changed.
 func (s *SCR) readPath(ctx context.Context, sv []float64) (*Decision, int64, error) {
 	snap := s.snapshot()
-	dec, err := s.getPlan(ctx, sv, snap)
+	dec, err := s.getPlan(ctx, sv, snap, false)
 	return dec, snap.version, err
+}
+
+// regionWeight is the selectivity index's key: the product ∏ si of an
+// instance's selectivities (§5.3's region-area formula without its λ
+// factor, which every entry shares).
+func regionWeight(sv []float64) float64 {
+	w := 1.0
+	for _, s := range sv {
+		w *= s
+	}
+	return w
 }
 
 // selIndex orders a snapshot's instance entries by anchor region weight
@@ -745,11 +629,11 @@ func (s *SCR) readPath(ctx context.Context, sv []float64) (*Decision, int64, err
 type selIndex struct {
 	keys []float64        // region weight per entry, ascending
 	ents []*instanceEntry // entry at keys[i]
-	pos  []int32          // ents[i]'s position in the snapshot's scan order
+	pos  []int32          // ents[i]'s position in the snapshot's instance list
 }
 
 // buildSelIndex constructs the index over insts. Ties in region weight
-// keep scan order so the window walk below stays deterministic.
+// keep instance-list order so the window walk below stays deterministic.
 func buildSelIndex(insts []*instanceEntry) selIndex {
 	n := len(insts)
 	if n == 0 {
@@ -783,15 +667,16 @@ const selWindowSlop = 1e-9
 
 // selHit is the indexed selectivity check: it searches the snapshot's
 // index window [wq/λmax, wq·λmax] and serves the passing entry that comes
-// first in scan order (identical to what the full scan would have
+// first in the instance list (identical to what the full scan would have
 // served). It returns the number of entries whose factors were evaluated
 // (the SelChecks accounting), and (nil, n, nil) on a miss — which, by the
 // window invariant on selIndex, proves NO entry passes the selectivity
 // check, so the caller can go straight to cost-check candidate
-// collection. An invalid query vector yields an empty or garbage window;
+// collection. A probe leaves the served entry's usage count alone. An
+// invalid query vector yields an empty or garbage window;
 // the miss path's full scan surfaces the per-dimension validation error
 // exactly as before.
-func (s *SCR) selHit(snap *cacheSnapshot, sv []float64) (*Decision, int, error) {
+func (s *SCR) selHit(snap *cacheSnapshot, sv []float64, probe bool) (*Decision, int, error) {
 	idx := &snap.index
 	if len(idx.keys) == 0 {
 		return nil, 0, nil
@@ -824,7 +709,9 @@ func (s *SCR) selHit(snap *cacheSnapshot, sv []float64) (*Decision, int, error) 
 	if best == nil {
 		return nil, examined, nil
 	}
-	best.u.Add(1)
+	if !probe {
+		best.u.Add(1)
+	}
 	return &Decision{Plan: best.pp.cp, Via: ViaSelectivity, Epoch: bestAnc.epoch}, examined, nil
 }
 
@@ -832,7 +719,9 @@ func (s *SCR) selHit(snap *cacheSnapshot, sv []float64) (*Decision, int, error) 
 // (served through the snapshot's selectivity index), then the cost check
 // over the most promising candidates in increasing GL order. Returns
 // (nil, nil) if no cached plan can be inferred λ-optimal. Runs lock-free
-// over the immutable snapshot; it mutates only atomic fields.
+// over the immutable snapshot; it mutates only atomic fields, and none at
+// all when probe is set: a probe (ProbeCheck) skips usage counts,
+// quarantine flags and counters, but chooses exactly as Process would.
 //
 // Epoch semantics during revalidation lag: an entry anchored under an
 // older epoch still serves through the selectivity check — its λ bound
@@ -843,15 +732,19 @@ func (s *SCR) selHit(snap *cacheSnapshot, sv []float64) (*Decision, int, error) 
 // current-epoch candidates all fail, the best lagging candidate is served
 // as an explicitly flagged fallback instead of stampeding the optimizer
 // while the background revalidator catches the cache up.
-func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot) (*Decision, error) {
+func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot, probe bool) (*Decision, error) {
 	examined := 0
-	defer func() { s.ctr.selChecks.Add(int64(examined)) }()
+	defer func() {
+		if !probe {
+			s.ctr.selChecks.Add(int64(examined))
+		}
+	}()
 
 	// Fast path: the indexed hit test. On the common warm-cache outcome —
 	// a selectivity-check hit — this touches O(log n) keys plus the
 	// entries inside the λmax window and returns without scanning the
 	// instance list at all.
-	dec, n, err := s.selHit(snap, sv)
+	dec, n, err := s.selHit(snap, sv, probe)
 	examined += n
 	if err != nil {
 		return nil, err
@@ -868,7 +761,7 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot) (*
 		gl float64
 		l  float64
 	}
-	limit := s.cfg.costCheckLimit()
+	limit := s.cfg.costCheckLimit
 	// Only the `limit` best candidates are ever recosted, so keep a
 	// bounded insertion-sorted list instead of collecting and sorting
 	// every entry: on the hot path this is the difference between O(limit)
@@ -887,7 +780,7 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot) (*
 	// the overwhelmingly common outcome on a warm cache — pays nothing.
 	var cands []cand
 	key := func(c cand) float64 { return c.gl }
-	if s.cfg.OrderCandidatesByL {
+	if s.cfg.orderByL {
 		key = func(c cand) float64 { return c.l }
 	}
 	insert := func(c cand) {
@@ -932,7 +825,9 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot) (*
 			// selHit proved no entry passed, but anchors are live atomics: a
 			// concurrent re-anchor (revalidation loosening S) can create a
 			// pass between the index walk and this scan. Honor it.
-			e.u.Add(1)
+			if !probe {
+				e.u.Add(1)
+			}
 			return &Decision{Plan: e.pp.cp, Via: ViaSelectivity, Epoch: a.epoch}, nil
 		}
 		if e.quarantined.Load() {
@@ -948,10 +843,6 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot) (*
 	}
 
 	if limit >= 0 && len(cands) > 0 {
-		tol := s.cfg.ViolationTolerance
-		if tol <= 0 {
-			tol = 0.01
-		}
 		// Batch: build selectivity state once for this instance, recost
 		// every cost-check candidate against it. If the epoch advanced
 		// between the scan above and this preparation, the candidates'
@@ -964,9 +855,6 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot) (*
 			cands = cands[:0]
 		}
 		for _, c := range cands {
-			if s.cfg.GLCutoff > 0 && c.gl > s.cfg.GLCutoff {
-				break
-			}
 			if err := ctx.Err(); err != nil {
 				return nil, cancelled(err)
 			}
@@ -974,13 +862,15 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot) (*
 			if err != nil {
 				return nil, err
 			}
-			s.ctr.getPlanRecosts.Add(1)
+			if !probe {
+				s.ctr.getPlanRecosts.Add(1)
+			}
 			if recEpoch != c.a.epoch {
 				// Advanced mid-loop (per-call recost path only): this
 				// candidate's anchor and recost disagree on generation.
 				continue
 			}
-			if s.cfg.DetectViolations {
+			if s.cfg.detectViolations {
 				// Appendix G: the BCG bounds constrain the plan's own cost
 				// ratio between qe and qc; Cost(PP, qe) = C·S.
 				rPlan := newCost / (c.a.c * c.a.s)
@@ -988,9 +878,11 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot) (*
 				if err != nil {
 					return nil, err
 				}
-				if ViolatesBCG(rPlan, g, l, tol) {
-					c.e.quarantined.Store(true)
-					s.ctr.violations.Add(1)
+				if ViolatesBCG(rPlan, g, l, s.cfg.violationTol) {
+					if !probe {
+						c.e.quarantined.Store(true)
+						s.ctr.violations.Add(1)
+					}
 					continue
 				}
 			}
@@ -999,7 +891,9 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot) (*
 			r := newCost / c.a.c
 			lam := s.cfg.lambdaFor(c.a.c)
 			if r*c.l <= lam/c.a.s {
-				c.e.u.Add(1)
+				if !probe {
+					c.e.u.Add(1)
+				}
 				return &Decision{Plan: c.e.pp.cp, Via: ViaCost, Epoch: c.a.epoch,
 					Cost: newCost, HasCost: true}, nil
 			}
@@ -1012,9 +906,11 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot) (*
 		// bounds optimizer load during revalidation lag — the flagged
 		// plan was λ-valid under its own epoch, the decision says so, and
 		// the revalidator is already retiring the lag.
-		lagBest.u.Add(1)
-		s.ctr.epochLagServed.Add(1)
-		s.ctr.degraded.Add(1)
+		if !probe {
+			lagBest.u.Add(1)
+			s.ctr.epochLagServed.Add(1)
+			s.ctr.degraded.Add(1)
+		}
 		return &Decision{
 			Plan:           lagBest.pp.cp,
 			Via:            ViaFallback,
@@ -1026,64 +922,22 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot) (*
 	return nil, nil
 }
 
-// ProbeCheck classifies how getPlan would serve an instance at sv — by the
-// selectivity check, the cost check, or an optimizer call — WITHOUT
-// mutating usage counters, quarantine flags or statistics. It is a
-// diagnostic/visualization aid (e.g. rendering the §5.3 inference-region
-// geometry) and performs Recost calls against the engine like the real
-// cost check would. Like Process's read path it scans a lock-free
-// snapshot of the instance list and is safe to call concurrently with
-// Process.
+// ProbeCheck classifies how Process's read path would serve an instance
+// at sv right now — by the selectivity check, the cost check, the flagged
+// epoch-lag fallback, or (on a miss) an optimizer call — WITHOUT mutating
+// usage counters, quarantine flags or statistics. It runs getPlan itself
+// in probe mode, so it performs the same Recost calls and cannot disagree
+// with Process; only the cluster-skew flag Process adds afterwards
+// (flagSkew) is not applied. It is a diagnostic/visualization aid (e.g.
+// rendering the §5.3 inference-region geometry), lock-free and safe to
+// call concurrently with Process.
 func (s *SCR) ProbeCheck(sv []float64) Check {
-	insts := s.snapshot().instances
-	type cand struct {
-		e  *instanceEntry
-		a  *anchor
-		gl float64
-		l  float64
-	}
-	cur := s.costEpoch()
-	var cands []cand
-	for _, e := range insts {
-		a := e.anc.Load()
-		g, l, err := GLFactors(e.v, sv)
-		if err != nil {
-			return ViaOptimizer
-		}
-		if g*l <= s.cfg.lambdaFor(a.c)/a.s {
-			return ViaSelectivity
-		}
-		if !e.quarantined.Load() && a.epoch == cur {
-			cands = append(cands, cand{e: e, a: a, gl: g * l, l: l})
-		}
-	}
-	limit := s.cfg.costCheckLimit()
-	if limit < 0 {
+	//lint:allow ctxflow ProbeCheck takes no context: a diagnostic probe has no caller deadline to honour
+	dec, err := s.getPlan(context.Background(), sv, s.snapshot(), true)
+	if err != nil || dec == nil {
 		return ViaOptimizer
 	}
-	if s.cfg.OrderCandidatesByL {
-		sort.Slice(cands, func(i, j int) bool { return cands[i].l < cands[j].l })
-	} else {
-		sort.Slice(cands, func(i, j int) bool { return cands[i].gl < cands[j].gl })
-	}
-	if len(cands) > limit {
-		cands = cands[:limit]
-	}
-	pi := s.prepareRecost(sv)
-	defer pi.Release()
-	for _, c := range cands {
-		if s.cfg.GLCutoff > 0 && c.gl > s.cfg.GLCutoff {
-			break
-		}
-		newCost, err := s.recostWith(pi, c.e.pp.cp, sv)
-		if err != nil {
-			return ViaOptimizer
-		}
-		if (newCost/c.a.c)*c.l <= s.cfg.lambdaFor(c.a.c)/c.a.s {
-			return ViaCost
-		}
-	}
-	return ViaOptimizer
+	return dec.Via
 }
 
 // NumInstances returns the current instance-list length (optimized

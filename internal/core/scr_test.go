@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -25,9 +27,9 @@ func twoPlaneEngine(t *testing.T) *pqotest.Engine {
 	return eng
 }
 
-func mustSCR(t *testing.T, eng Engine, cfg Config) *SCR {
+func mustSCR(t *testing.T, eng Engine, opts ...Option) *SCR {
 	t.Helper()
-	s, err := NewSCR(eng, cfg)
+	s, err := New(eng, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,27 +38,34 @@ func mustSCR(t *testing.T, eng Engine, cfg Config) *SCR {
 
 func TestConfigValidation(t *testing.T) {
 	eng := twoPlaneEngine(t)
-	bad := []Config{
-		{Lambda: 0.5},
-		{Lambda: 2, LambdaR: 0.5},
-		{Lambda: 2, LambdaR: 3},
-		{Lambda: 2, PlanBudget: -1},
-		{Lambda: 2, Dynamic: &DynamicLambda{Min: 0.5, Max: 2}},
-		{Lambda: 2, Dynamic: &DynamicLambda{Min: 3, Max: 2}},
+	bad := [][]Option{
+		{WithLambda(0.5)},
+		{WithLambda(2), WithRedundancyThreshold(0.5)},
+		{WithLambda(2), WithRedundancyThreshold(3)},
+		// λr ≤ λ is checked after every option applied, in any order.
+		{WithRedundancyThreshold(1.5), WithLambda(1.2)},
+		{WithLambda(2), WithPlanBudget(-1)},
+		{WithLambda(2), WithDynamicLambda(0.5, 2, 1)},
+		{WithLambda(2), WithDynamicLambda(3, 2, 1)},
+		{WithLambda(2), WithDynamicLambda(1, 2, 0)},
 	}
-	for i, cfg := range bad {
-		if _, err := NewSCR(eng, cfg); err == nil {
-			t.Errorf("config %d (%+v) should be rejected", i, cfg)
+	for i, opts := range bad {
+		_, err := New(eng, opts...)
+		if !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("option set %d: err = %v, want ErrInvalidConfig", i, err)
 		}
 	}
-	if _, err := NewSCR(eng, Config{Lambda: 1}); err != nil {
+	if _, err := New(eng, WithRedundancyThreshold(3), WithLambda(4)); err != nil {
+		t.Errorf("λr=3 under λ=4 must be accepted: %v", err)
+	}
+	if _, err := New(eng, WithLambda(1)); err != nil {
 		t.Errorf("λ=1 must be accepted: %v", err)
 	}
 }
 
 func TestFirstInstanceOptimizes(t *testing.T) {
 	eng := twoPlaneEngine(t)
-	s := mustSCR(t, eng, Config{Lambda: 2})
+	s := mustSCR(t, eng, WithLambda(2))
 	dec, err := s.Process(context.Background(), []float64{0.01, 0.01})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +81,7 @@ func TestFirstInstanceOptimizes(t *testing.T) {
 
 func TestSelectivityCheckReuse(t *testing.T) {
 	eng := twoPlaneEngine(t)
-	s := mustSCR(t, eng, Config{Lambda: 2})
+	s := mustSCR(t, eng, WithLambda(2))
 	if _, err := s.Process(context.Background(), []float64{0.01, 0.01}); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +114,7 @@ func TestCostCheckReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustSCR(t, eng, Config{Lambda: 1.5})
+	s := mustSCR(t, eng, WithLambda(1.5))
 	if _, err := s.Process(context.Background(), []float64{0.9, 0.9}); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +133,7 @@ func TestCostCheckReuse(t *testing.T) {
 	// Now move *upwards* in dimension 1 from the first instance: G large,
 	// L = 1. Selectivity check: G·L = G may exceed λ, but R = actual
 	// growth is tiny because Const dominates → cost check passes.
-	s2 := mustSCR(t, eng, Config{Lambda: 1.5})
+	s2 := mustSCR(t, eng, WithLambda(1.5))
 	if _, err := s2.Process(context.Background(), []float64{0.9, 0.001}); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +161,7 @@ func TestGuaranteeProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := mustSCR(t, eng, Config{Lambda: lambda})
+			s := mustSCR(t, eng, WithLambda(lambda))
 			for i := 0; i < 300; i++ {
 				sv := pqotest.RandomSVector(rng, d)
 				dec, err := s.Process(context.Background(), sv)
@@ -175,7 +184,7 @@ func TestGuaranteeHoldsUnderPlanBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustSCR(t, eng, Config{Lambda: 2, PlanBudget: 2})
+	s := mustSCR(t, eng, WithLambda(2), WithPlanBudget(2))
 	for i := 0; i < 400; i++ {
 		sv := pqotest.RandomSVector(rng, 3)
 		dec, err := s.Process(context.Background(), sv)
@@ -207,8 +216,8 @@ func TestRedundancyCheckReducesPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withRC := mustSCR(t, eng1, Config{Lambda: 2}) // λr = √2
-	storeAll := mustSCR(t, eng2, Config{Lambda: 2, StoreAlways: true})
+	withRC := mustSCR(t, eng1, WithLambda(2)) // λr = √2
+	storeAll := mustSCR(t, eng2, WithLambda(2), WithStoreAlways())
 	seqRng := rand.New(rand.NewSource(99))
 	svs := make([][]float64, 500)
 	for i := range svs {
@@ -241,7 +250,7 @@ func TestCostCheckLimitBoundsRecosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	limit := 3
-	s := mustSCR(t, eng, Config{Lambda: 1.1, CostCheckLimit: limit, StoreAlways: true})
+	s := mustSCR(t, eng, WithLambda(1.1), WithCostCheckLimit(limit), WithStoreAlways())
 	maxPerCall := int64(0)
 	var prev int64
 	for i := 0; i < 200; i++ {
@@ -262,7 +271,7 @@ func TestCostCheckLimitBoundsRecosts(t *testing.T) {
 
 func TestCostCheckDisabled(t *testing.T) {
 	eng := twoPlaneEngine(t)
-	s := mustSCR(t, eng, Config{Lambda: 2, CostCheckLimit: -1})
+	s := mustSCR(t, eng, WithLambda(2), WithoutCostCheck())
 	if _, err := s.Process(context.Background(), []float64{0.5, 0.5}); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +286,7 @@ func TestCostCheckDisabled(t *testing.T) {
 func TestDynamicLambdaLoosensCheapInstances(t *testing.T) {
 	// With dynamic λ, a cheap instance (cost << RefCost) gets λ close to
 	// Max; an expensive one (cost >> RefCost) gets λ close to Min.
-	cfg := Config{Lambda: 1.1, Dynamic: &DynamicLambda{Min: 1.1, Max: 10, RefCost: 100}}
+	cfg := config{lambda: 1.1, dynamic: &DynamicLambda{Min: 1.1, Max: 10, RefCost: 100}}
 	if got := cfg.lambdaFor(0.01); math.Abs(got-10) > 0.01 {
 		t.Errorf("λ(cheap) = %v, want ~10", got)
 	}
@@ -296,9 +305,8 @@ func TestDynamicLambdaLoosensCheapInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn := mustSCR(t, engDyn, Config{Lambda: 1.1,
-		Dynamic: &DynamicLambda{Min: 1.1, Max: 10, RefCost: 50}})
-	stat := mustSCR(t, engStat, Config{Lambda: 1.1})
+	dyn := mustSCR(t, engDyn, WithLambda(1.1), WithDynamicLambda(1.1, 10, 50))
+	stat := mustSCR(t, engStat, WithLambda(1.1))
 	seq := rand.New(rand.NewSource(31))
 	for i := 0; i < 400; i++ {
 		sv := pqotest.RandomSVector(seq, 3)
@@ -329,7 +337,7 @@ func TestViolationDetectionQuarantines(t *testing.T) {
 	}
 	// λ tight enough that G·L = 1.5 fails the selectivity check and the
 	// instance reaches the cost check, where the jump is observable.
-	s := mustSCR(t, eng, Config{Lambda: 1.2, DetectViolations: true})
+	s := mustSCR(t, eng, WithLambda(1.2), WithViolationDetection(0.01))
 	if _, err := s.Process(context.Background(), []float64{0.4, 0.4}); err != nil {
 		t.Fatal(err)
 	}
@@ -342,6 +350,92 @@ func TestViolationDetectionQuarantines(t *testing.T) {
 	}
 }
 
+// TestProbeCheckPredictsProcess pins ProbeCheck to Process: for every
+// instance of a seeded stream — selectivity hits, cost hits, optimizer
+// misses and, after a statistics advance, epoch-lag fallbacks — the probe
+// taken just before Process names the check Process then serves through.
+func TestProbeCheckPredictsProcess(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	base, err := pqotest.RandomEngine(rng, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := pqotest.NewEpochEngine(base)
+	s := mustSCR(t, eng, WithLambda(2))
+	ctx := context.Background()
+	seen := map[Check]int{}
+	for i := 0; i < 400; i++ {
+		if i == 300 {
+			eng.Advance()
+		}
+		sv := pqotest.RandomSVector(rng, 2)
+		probe := s.ProbeCheck(sv)
+		dec, err := s.Process(ctx, sv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if probe != dec.Via {
+			t.Fatalf("instance %d %v: ProbeCheck = %v, Process served via %v (%s)",
+				i, sv, probe, dec.Via, dec.DegradedReason)
+		}
+		seen[dec.Via]++
+	}
+	for _, via := range []Check{ViaSelectivity, ViaCost, ViaOptimizer, ViaFallback} {
+		if seen[via] == 0 {
+			t.Errorf("stream never served via %v (%v); the test lost coverage", via, seen)
+		}
+	}
+}
+
+// TestProbeCheckWritesNothing runs ProbeCheck where Process would
+// quarantine an instance (Appendix G) and checks that the probe left the
+// counters, usage counts and quarantine flags exactly as they were.
+func TestProbeCheckWritesNothing(t *testing.T) {
+	eng, err := pqotest.NewEngine(2, []pqotest.PlanSpec{
+		{Name: "jumpy", Const: 10, Linear: []float64{1, 1}, JumpDim: 0, JumpAt: 0.5, JumpAmount: 1e6},
+		{Name: "flat", Const: 100000, Linear: []float64{1, 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustSCR(t, eng, WithLambda(1.2), WithViolationDetection(0.01))
+	ctx := context.Background()
+	if _, err := s.Process(ctx, []float64{0.4, 0.4}); err != nil {
+		t.Fatal(err)
+	}
+	type entryState struct {
+		u           int64
+		quarantined bool
+	}
+	state := func() []entryState {
+		var out []entryState
+		for _, e := range s.snapshot().instances {
+			out = append(out, entryState{e.u.Load(), e.quarantined.Load()})
+		}
+		return out
+	}
+	for _, sv := range [][]float64{{0.6, 0.4}, {0.41, 0.4}} {
+		stBefore, entBefore := s.Stats(), state()
+		probe := s.ProbeCheck(sv)
+		if st := s.Stats(); !reflect.DeepEqual(st, stBefore) {
+			t.Errorf("ProbeCheck(%v) changed Stats:\n before %+v\n after  %+v", sv, stBefore, st)
+		}
+		if ent := state(); !reflect.DeepEqual(ent, entBefore) {
+			t.Errorf("ProbeCheck(%v) changed usage/quarantine: %v -> %v", sv, entBefore, ent)
+		}
+		dec, err := s.Process(ctx, sv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if probe != dec.Via {
+			t.Errorf("ProbeCheck(%v) = %v, Process served via %v", sv, probe, dec.Via)
+		}
+	}
+	if st := s.Stats(); st.Violations == 0 {
+		t.Error("Process detected no BCG violation; the probe never faced the quarantine path")
+	}
+}
+
 func TestSweepRedundantPlans(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	eng, err := pqotest.RandomEngine(rng, 3, 12)
@@ -350,7 +444,7 @@ func TestSweepRedundantPlans(t *testing.T) {
 	}
 	// Store-always accumulates redundant plans; the Appendix F sweep should
 	// then find some to drop.
-	s := mustSCR(t, eng, Config{Lambda: 2, StoreAlways: true})
+	s := mustSCR(t, eng, WithLambda(2), WithStoreAlways())
 	for i := 0; i < 300; i++ {
 		if _, err := s.Process(context.Background(), pqotest.RandomSVector(rng, 3)); err != nil {
 			t.Fatal(err)
@@ -387,7 +481,7 @@ func TestSCRSavesOptimizerCallsOnClusteredWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustSCR(t, eng, Config{Lambda: 2})
+	s := mustSCR(t, eng, WithLambda(2))
 	centers := [][]float64{{0.001, 0.002}, {0.3, 0.4}, {0.05, 0.9}}
 	n := 300
 	for i := 0; i < n; i++ {
@@ -408,7 +502,7 @@ func TestSCRSavesOptimizerCallsOnClusteredWorkload(t *testing.T) {
 
 func TestNumInstancesTracksOptimizedOnly(t *testing.T) {
 	eng := twoPlaneEngine(t)
-	s := mustSCR(t, eng, Config{Lambda: 2})
+	s := mustSCR(t, eng, WithLambda(2))
 	if _, err := s.Process(context.Background(), []float64{0.01, 0.01}); err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +518,7 @@ func TestNumInstancesTracksOptimizedOnly(t *testing.T) {
 
 func TestStatsMemoryAccounting(t *testing.T) {
 	eng := twoPlaneEngine(t)
-	s := mustSCR(t, eng, Config{Lambda: 1, StoreAlways: true})
+	s := mustSCR(t, eng, WithLambda(1), WithStoreAlways())
 	if _, err := s.Process(context.Background(), []float64{0.001, 0.9}); err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +536,7 @@ func TestStatsMemoryAccounting(t *testing.T) {
 
 func TestSeedInstanceValidation(t *testing.T) {
 	eng := twoPlaneEngine(t)
-	s := mustSCR(t, eng, Config{Lambda: 2})
+	s := mustSCR(t, eng, WithLambda(2))
 	cp, c, err := eng.Optimize([]float64{0.01, 0.01})
 	if err != nil {
 		t.Fatal(err)
@@ -466,7 +560,7 @@ func TestSeedInstanceValidation(t *testing.T) {
 		t.Errorf("seed not recorded: %+v", s.Stats())
 	}
 	// Budget enforcement on seeding.
-	s2 := mustSCR(t, eng, Config{Lambda: 2, PlanBudget: 1})
+	s2 := mustSCR(t, eng, WithLambda(2), WithPlanBudget(1))
 	if err := s2.SeedInstance([]float64{0.01, 0.01}, cp, c, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +583,7 @@ func TestSeededGuaranteeHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustSCR(t, eng, Config{Lambda: 2})
+	s := mustSCR(t, eng, WithLambda(2))
 	// Offline phase: probe a grid, seed each point's optimal plan.
 	for _, x := range []float64{0.001, 0.01, 0.1, 0.5} {
 		for _, y := range []float64{0.001, 0.01, 0.1, 0.5} {

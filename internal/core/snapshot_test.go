@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/pqotest"
@@ -16,12 +17,12 @@ import (
 // index arrays. Atomic fields (anchor, usage, quarantine) are the designed
 // mutable channel and are deliberately excluded.
 type snapshotFingerprint struct {
-	version  int64
-	epoch    uint64
-	insts    []*instanceEntry
-	vecs     [][]float64
-	pps      []*planEntry
-	plans    []*planEntry
+	version int64
+	epoch   uint64
+	insts   []*instanceEntry
+	vecs    [][]float64
+	pps     []*planEntry
+	plans   []*planEntry
 	idxKeys []float64
 	idxEnts []*instanceEntry
 	idxPos  []int32
@@ -100,7 +101,7 @@ func (f *snapshotFingerprint) verify(t *testing.T, snap *cacheSnapshot) {
 // invariant: once published, a cacheSnapshot is never mutated — writers
 // build replacements, readers keep scanning old snapshots indefinitely.
 // Readers here capture a snapshot, deep-fingerprint it, wait out heavy
-// concurrent writer churn (inserts, evictions, sweeps, seeds, re-sorts),
+// concurrent writer churn (inserts, evictions, sweeps),
 // and then verify the captured snapshot byte-for-byte. Run under -race:
 // the fingerprint re-reads would also race with any in-place writer
 // mutation the comparison failed to catch semantically.
@@ -110,10 +111,11 @@ func TestSnapshotImmutableUnderWriterChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A small plan budget forces evictions (instance-list rewrites) and
-	// ScanByUsage forces periodic re-sorts — the mutations most likely to
-	// touch a published array if the copy-on-write discipline slipped.
-	s, err := NewSCR(eng, Config{Lambda: 2, PlanBudget: 4, Scan: ScanByUsage, StoreAlways: true})
+	// A small plan budget forces evictions and the writers' periodic
+	// sweeps drop redundant plans: instance-list rewrites and full index
+	// rebuilds, the mutations most likely to touch a published array if
+	// the copy-on-write discipline slipped.
+	s, err := New(eng, WithLambda(2), WithPlanBudget(4), WithStoreAlways())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +139,10 @@ func TestSnapshotImmutableUnderWriterChurn(t *testing.T) {
 		}
 	}
 
-	var wg sync.WaitGroup
+	var (
+		wg    sync.WaitGroup
+		swept atomic.Int64
+	)
 	stop := make(chan struct{})
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -149,10 +154,12 @@ func TestSnapshotImmutableUnderWriterChurn(t *testing.T) {
 					return
 				}
 				if i%40 == 39 {
-					if _, err := s.SweepRedundantPlans(); err != nil {
+					n, err := s.SweepRedundantPlans()
+					if err != nil {
 						t.Error(err)
 						return
 					}
+					swept.Add(int64(n))
 				}
 			}
 		}(streams[w])
@@ -194,6 +201,9 @@ func TestSnapshotImmutableUnderWriterChurn(t *testing.T) {
 	final := s.snapshot()
 	if final.version <= 0 {
 		t.Fatalf("final snapshot version %d, want > 0", final.version)
+	}
+	if s.Stats().Evictions+swept.Load() == 0 {
+		t.Fatal("no eviction or sweep drop: the churn never rewrote the instance list")
 	}
 	if len(final.index.keys) != len(final.instances) {
 		t.Fatalf("final index covers %d entries, instance list has %d",

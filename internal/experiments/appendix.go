@@ -59,15 +59,15 @@ func (r *Runner) AppD(m int) ([]AppDRow, error) {
 
 	configs := []struct {
 		label string
-		cfg   core.Config
+		opts  []core.Option
 	}{
-		{"static λ=1.1", core.Config{Lambda: 1.1, DetectViolations: true}},
-		{"dynamic λ∈[1.1,10]", core.Config{Lambda: 1.1, DetectViolations: true,
-			Dynamic: &core.DynamicLambda{Min: 1.1, Max: 10, RefCost: ref}}},
+		{"static λ=1.1", []core.Option{core.WithLambda(1.1), core.WithViolationDetection(0.01)}},
+		{"dynamic λ∈[1.1,10]", []core.Option{core.WithLambda(1.1), core.WithViolationDetection(0.01),
+			core.WithDynamicLambda(1.1, 10, ref)}},
 	}
 	var rows []AppDRow
 	for _, c := range configs {
-		tech, err := core.NewSCR(eng, c.cfg)
+		tech, err := core.New(eng, c.opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -129,16 +129,16 @@ func (r *Runner) AppE(m int) ([]AppERow, error) {
 	lambda := 1.1
 	configs := []struct {
 		label string
-		cfg   core.Config
+		opts  []core.Option
 	}{
-		{"λr=1 (store always)", core.Config{Lambda: lambda, StoreAlways: true}},
-		{"λr=1.01", core.Config{Lambda: lambda, LambdaR: 1.01}},
-		{"λr=√λ≈1.049", core.Config{Lambda: lambda}},
-		{"λr=λ=1.1", core.Config{Lambda: lambda, LambdaR: lambda}},
+		{"λr=1 (store always)", []core.Option{core.WithLambda(lambda), core.WithStoreAlways()}},
+		{"λr=1.01", []core.Option{core.WithLambda(lambda), core.WithRedundancyThreshold(1.01)}},
+		{"λr=√λ≈1.049", []core.Option{core.WithLambda(lambda)}},
+		{"λr=λ=1.1", []core.Option{core.WithLambda(lambda), core.WithRedundancyThreshold(lambda)}},
 	}
 	var rows []AppERow
 	for _, c := range configs {
-		tech, err := core.NewSCR(eng, c.cfg)
+		tech, err := core.New(eng, c.opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -186,15 +186,15 @@ func (r *Runner) AblationCandOrder(m int) ([]AblationRow, error) {
 	seq := &workload.Sequence{Name: entry.Tpl.Name, Tpl: entry.Tpl, Instances: ordered}
 	configs := []struct {
 		label string
-		cfg   core.Config
+		opts  []core.Option
 	}{
-		{"GL order (paper), limit 8", core.Config{Lambda: 2}},
-		{"L order, limit 8", core.Config{Lambda: 2, OrderCandidatesByL: true}},
-		{"L order, limit 32", core.Config{Lambda: 2, OrderCandidatesByL: true, CostCheckLimit: 32}},
+		{"GL order (paper), limit 8", []core.Option{core.WithLambda(2)}},
+		{"L order, limit 8", []core.Option{core.WithLambda(2), core.WithCandidateOrderByL()}},
+		{"L order, limit 32", []core.Option{core.WithLambda(2), core.WithCandidateOrderByL(), core.WithCostCheckLimit(32)}},
 	}
 	var rows []AblationRow
 	for _, c := range configs {
-		tech, err := core.NewSCR(eng, c.cfg)
+		tech, err := core.New(eng, c.opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -252,16 +252,17 @@ func (r *Runner) AblationGLOrdering(m int) ([]AblationRow, error) {
 	seq := &workload.Sequence{Name: entry.Tpl.Name, Tpl: entry.Tpl, Instances: ordered}
 	configs := []struct {
 		label string
-		cfg   core.Config
+		opts  []core.Option
 	}{
-		{"naive (recost all)", core.Config{Lambda: 1.1, StoreAlways: true, CostCheckLimit: 1 << 30}},
-		{"GL-order, limit 8", core.Config{Lambda: 1.1, StoreAlways: true, CostCheckLimit: 8}},
-		{"GL-order, limit 3", core.Config{Lambda: 1.1, StoreAlways: true, CostCheckLimit: 3}},
-		{"+redundancy λr=√λ", core.Config{Lambda: 1.1, CostCheckLimit: 3}},
+		{"naive (recost all)", []core.Option{core.WithLambda(1.1), core.WithStoreAlways(),
+			core.WithCostCheckLimit(1 << 30)}},
+		{"GL-order, limit 8", []core.Option{core.WithLambda(1.1), core.WithStoreAlways(), core.WithCostCheckLimit(8)}},
+		{"GL-order, limit 3", []core.Option{core.WithLambda(1.1), core.WithStoreAlways(), core.WithCostCheckLimit(3)}},
+		{"+redundancy λr=√λ", []core.Option{core.WithLambda(1.1), core.WithCostCheckLimit(3)}},
 	}
 	var rows []AblationRow
 	for _, c := range configs {
-		tech, err := core.NewSCR(eng, c.cfg)
+		tech, err := core.New(eng, c.opts...)
 		if err != nil {
 			return nil, err
 		}

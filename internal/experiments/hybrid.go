@@ -72,7 +72,7 @@ func (r *Runner) HybridStudy(m, grid int) ([]HybridRow, error) {
 
 	var rows []HybridRow
 	run := func(label string, seed bool) error {
-		scr, err := core.NewSCR(eng, core.Config{Lambda: lambda, DetectViolations: true})
+		scr, err := core.New(eng, core.WithLambda(lambda), core.WithViolationDetection(0.01))
 		if err != nil {
 			return err
 		}

@@ -291,12 +291,13 @@ func (r *Runner) Fig19() ([]BudgetPoint, error) {
 	}
 	var points []BudgetPoint
 	for _, k := range []int{0, 10, 5, 2} {
-		cfg := core.Config{Lambda: 2, PlanBudget: k, DetectViolations: true}
+		opts := []core.Option{core.WithLambda(2), core.WithViolationDetection(0.01)}
 		label := "SCR2/k=inf"
 		if k > 0 {
+			opts = append(opts, core.WithPlanBudget(k))
 			label = fmt.Sprintf("SCR2/k=%d", k)
 		}
-		f := SCRConfigFactory(label, cfg)
+		f := SCRConfigFactory(label, opts...)
 		results, err := r.RunTechnique(f, seqs, harness.Options{})
 		if err != nil {
 			return nil, err

@@ -206,17 +206,17 @@ func SCRFactory(lambda float64) Factory {
 	return Factory{
 		Label: fmt.Sprintf("SCR%g", lambda),
 		New: func(eng core.Engine) (core.Technique, error) {
-			return core.NewSCR(eng, core.Config{Lambda: lambda, DetectViolations: true})
+			return core.New(eng, core.WithLambda(lambda), core.WithViolationDetection(0.01))
 		},
 	}
 }
 
-// SCRConfigFactory returns a factory for SCR with an explicit config.
-func SCRConfigFactory(label string, cfg core.Config) Factory {
+// SCRConfigFactory returns a factory for SCR built with explicit options.
+func SCRConfigFactory(label string, opts ...core.Option) Factory {
 	return Factory{
 		Label: label,
 		New: func(eng core.Engine) (core.Technique, error) {
-			return core.NewSCR(eng, cfg)
+			return core.New(eng, opts...)
 		},
 	}
 }

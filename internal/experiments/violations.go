@@ -85,14 +85,14 @@ func (r *Runner) ViolationStudy(m int) ([]ViolationRow, error) {
 	lambda := 1.1
 	configs := []struct {
 		label string
-		cfg   core.Config
+		opts  []core.Option
 	}{
-		{"SCR1.1, no detection", core.Config{Lambda: lambda}},
-		{"SCR1.1, Appendix G", core.Config{Lambda: lambda, DetectViolations: true}},
+		{"SCR1.1, no detection", []core.Option{core.WithLambda(lambda)}},
+		{"SCR1.1, Appendix G", []core.Option{core.WithLambda(lambda), core.WithViolationDetection(0.01)}},
 	}
 	var rows []ViolationRow
 	for _, c := range configs {
-		tech, err := core.NewSCR(eng, c.cfg)
+		tech, err := core.New(eng, c.opts...)
 		if err != nil {
 			return nil, err
 		}

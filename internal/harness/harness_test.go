@@ -61,7 +61,7 @@ func TestRunOptAlwaysIsOptimal(t *testing.T) {
 func TestRunSCRRespectsBound(t *testing.T) {
 	eng := newRandomEngine(t, 3, 3, 10)
 	seq := fakeSequence(t, eng, 300, 4)
-	scr, err := core.NewSCR(eng, core.Config{Lambda: 2})
+	scr, err := core.New(eng, core.WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestHeuristicsCanExceedBoundWhereSCRDoesNot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scr, err := core.NewSCR(eng, core.Config{Lambda: 1.5})
+	scr, err := core.New(eng, core.WithLambda(1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestHeuristicsCanExceedBoundWhereSCRDoesNot(t *testing.T) {
 func TestViaCounts(t *testing.T) {
 	eng := newRandomEngine(t, 21, 2, 6)
 	seq := fakeSequence(t, eng, 120, 22)
-	scr, err := core.NewSCR(eng, core.Config{Lambda: 2})
+	scr, err := core.New(eng, core.WithLambda(2))
 	if err != nil {
 		t.Fatal(err)
 	}

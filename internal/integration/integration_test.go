@@ -55,7 +55,7 @@ func TestSuiteWideGuaranteeAudit(t *testing.T) {
 			t.Fatalf("%s: %v", e.Tpl.Name, err)
 		}
 		seq := &workload.Sequence{Name: e.Tpl.Name, Tpl: e.Tpl, Instances: base}
-		tech, err := core.NewSCR(eng, core.Config{Lambda: lambda, DetectViolations: true})
+		tech, err := core.New(eng, core.WithLambda(lambda), core.WithViolationDetection(0.01))
 		if err != nil {
 			t.Fatal(err)
 		}

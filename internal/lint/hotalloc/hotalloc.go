@@ -20,8 +20,8 @@
 //   - heap composite literals and new(T), except for the budgeted result
 //     types (-hotalloc.budget, default Decision).
 //
-// Cold helpers that the walk would otherwise drag in (publishers, resort
-// paths) carry a decl-level //lint:allow hotalloc <reason>, which prunes
+// Cold helpers that the walk would otherwise drag in (publishers, snapshot
+// rebuilds) carry a decl-level //lint:allow hotalloc <reason>, which prunes
 // them and their callees from the walk; single sites on the miss path are
 // excused the same way inline. The walk does not descend into function
 // literals: a closure on the hot path is flagged at its creation site,

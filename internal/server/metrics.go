@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -72,22 +71,20 @@ const (
 )
 
 // writeMetrics renders every registered template's counters and latency
-// histograms in Prometheus text exposition format.
+// histograms in Prometheus text exposition format. Each template's Stats
+// are read once per scrape: every series of one template comes from the
+// same reading.
 func (s *Server) writeMetrics(w io.Writer) {
-	s.mu.RLock()
-	names := make([]string, 0, len(s.entries))
-	for name := range s.entries {
-		names = append(names, name)
+	entries := s.snapshotEntries()
+	stats := make([]statsSnapshot, len(entries))
+	for i, e := range entries {
+		stats[i] = e.scr.Stats()
 	}
-	s.mu.RUnlock()
-	sort.Strings(names)
 
 	fmt.Fprintln(w, "# HELP pqo_instances_total Query instances processed per template.")
 	fmt.Fprintln(w, "# TYPE pqo_instances_total counter")
-	for _, name := range names {
-		e := s.entry(name)
-		st := e.scr.Stats()
-		fmt.Fprintf(w, "pqo_instances_total{template=%q} %d\n", name, st.Instances)
+	for i, e := range entries {
+		fmt.Fprintf(w, "pqo_instances_total{template=%q} %d\n", e.name, stats[i].Instances)
 	}
 
 	type scalar struct {
@@ -152,24 +149,21 @@ func (s *Server) writeMetrics(w io.Writer) {
 	}
 	for _, sc := range scalars {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", sc.metric, sc.help, sc.metric, promType(sc.metric))
-		for _, name := range names {
-			e := s.entry(name)
-			st := e.scr.Stats()
-			fmt.Fprintf(w, "%s{template=%q} %s\n", sc.metric, name, sc.value(st))
+		for i, e := range entries {
+			fmt.Fprintf(w, "%s{template=%q} %s\n", sc.metric, e.name, sc.value(stats[i]))
 		}
 	}
 
 	fmt.Fprintln(w, "# HELP pqo_breaker_transitions_total Circuit breaker state transitions by kind.")
 	fmt.Fprintln(w, "# TYPE pqo_breaker_transitions_total counter")
-	for _, name := range names {
-		e := s.entry(name)
-		st := e.scr.Stats()
+	for i, e := range entries {
+		st := &stats[i]
 		for _, t := range []struct {
 			kind  string
 			count int64
 		}{{"open", st.BreakerOpens}, {"half-open", st.BreakerHalfOpens}, {"close", st.BreakerCloses}} {
 			fmt.Fprintf(w, "pqo_breaker_transitions_total{template=%q,transition=%q} %d\n",
-				name, t.kind, t.count)
+				e.name, t.kind, t.count)
 		}
 	}
 
@@ -187,10 +181,9 @@ func (s *Server) writeMetrics(w io.Writer) {
 
 	fmt.Fprintln(w, "# HELP pqo_check_latency_seconds /plan decision latency by serving mechanism: from after request decode and slot acquisition to the priced decision, excluding response encoding.")
 	fmt.Fprintln(w, "# TYPE pqo_check_latency_seconds histogram")
-	for _, name := range names {
-		e := s.entry(name)
+	for _, e := range entries {
 		for i := range e.hist {
-			labels := fmt.Sprintf("template=%q,via=%q", name, checkLabels[i])
+			labels := fmt.Sprintf("template=%q,via=%q", e.name, checkLabels[i])
 			e.hist[i].writeProm(w, "pqo_check_latency_seconds", labels)
 		}
 	}

@@ -101,6 +101,7 @@ type Server struct {
 	mu      sync.RWMutex
 	entries map[string]*entry
 	httpSrv *http.Server
+	regMu   sync.Mutex // held across Register; see there
 
 	// dir mirrors entries as a pqo.Directory of per-template write
 	// domains: epoch revalidation schedules across it (usage-weighted,
@@ -153,7 +154,8 @@ func New(cfg Config) *Server {
 // cache. sql is informational (shown by /templates; empty is fine for
 // synthetic engines). If Config.SnapshotDir holds a snapshot for name it
 // is restored into scr — a corrupt or incompatible snapshot is logged
-// and ignored, never fatal.
+// and ignored, never fatal. A duplicate name is rejected before scr is
+// touched.
 func (s *Server) Register(name, sql string, eng pqo.Engine, scr *pqo.SCR) error {
 	if name == "" {
 		return errors.New("server: empty template name")
@@ -161,7 +163,14 @@ func (s *Server) Register(name, sql string, eng pqo.Engine, scr *pqo.SCR) error 
 	if eng == nil || scr == nil {
 		return fmt.Errorf("server: template %q needs an engine and an SCR", name)
 	}
-	e := &entry{name: name, sql: sql, eng: eng, scr: scr}
+	// regMu serializes registrations, so the duplicate check below still
+	// holds when the entry is installed, without holding mu (and stalling
+	// every /v1/plan lookup) across the snapshot import.
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	if s.entry(name) != nil {
+		return fmt.Errorf("server: template %q already registered", name)
+	}
 	if s.cfg.SnapshotDir != "" {
 		// ReadSnapshotFile verifies the checksum framing, so a node killed
 		// mid-persist rejoins from its last good snapshot: a torn write
@@ -180,13 +189,10 @@ func (s *Server) Register(name, sql string, eng pqo.Engine, scr *pqo.SCR) error 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.entries[name]; dup {
-		return fmt.Errorf("server: template %q already registered", name)
-	}
 	if err := s.dir.Attach(name, scr); err != nil {
 		return err
 	}
-	s.entries[name] = e
+	s.entries[name] = &entry{name: name, sql: sql, eng: eng, scr: scr}
 	return nil
 }
 
@@ -313,15 +319,18 @@ func (s *Server) takeServer() *http.Server {
 	return srv
 }
 
-// snapshotEntries copies the registered-template list under the read lock so
-// slow per-entry work (snapshot export, file IO) runs without holding it.
+// snapshotEntries copies the registered-template list, sorted by name,
+// under the read lock so slow per-entry work (stats, snapshot export, file
+// IO) runs without holding it. Every endpoint that walks the templates
+// reads them through here.
 func (s *Server) snapshotEntries() []*entry {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	entries := make([]*entry, 0, len(s.entries))
 	for _, e := range s.entries {
 		entries = append(entries, e)
 	}
+	s.mu.RUnlock()
+	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
 	return entries
 }
 
@@ -632,13 +641,11 @@ type TemplateInfo struct {
 }
 
 func (s *Server) handleTemplates(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	out := make([]TemplateInfo, 0, len(s.entries))
-	for name, e := range s.entries {
-		out = append(out, TemplateInfo{Name: name, SQL: e.sql, Dimensions: e.eng.Dimensions()})
+	entries := s.snapshotEntries()
+	out := make([]TemplateInfo, 0, len(entries))
+	for _, e := range entries {
+		out = append(out, TemplateInfo{Name: e.name, SQL: e.sql, Dimensions: e.eng.Dimensions()})
 	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	writeJSON(w, out)
 }
 
@@ -677,12 +684,7 @@ type StatsRow struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	entries := make([]*entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		entries = append(entries, e)
-	}
-	s.mu.RUnlock()
+	entries := s.snapshotEntries()
 	out := make([]StatsRow, 0, len(entries))
 	for _, e := range entries {
 		st := e.scr.Stats()
@@ -716,7 +718,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			EpochLagFallbacks: st.EpochLagFallbacks,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Template < out[j].Template })
 	writeJSON(w, out)
 }
 

@@ -348,6 +348,55 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
+// TestRegisterDuplicateLeavesSCRUntouched registers a template whose
+// snapshot is on disk, then registers the same name again with a fresh
+// SCR: the duplicate must be rejected before the snapshot is imported
+// into the second SCR. A real template engine is used because the
+// synthetic one cannot rehydrate plans, so no import would happen.
+func TestRegisterDuplicateLeavesSCRUntouched(t *testing.T) {
+	sys, err := pqo.NewSystem(pqo.TPCH(0.01), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpl, err := pqo.ParseTemplate("q", `
+		SELECT * FROM lineitem, orders
+		WHERE lineitem.l_orderkey = orders.o_orderkey
+		  AND lineitem.l_shipdate <= ?0
+		  AND orders.o_totalprice >= ?1`, sys.Cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := sys.EngineFor(tpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSCR := func() *pqo.SCR {
+		scr, err := pqo.New(eng, pqo.WithLambda(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scr
+	}
+	s := New(Config{SnapshotDir: t.TempDir()})
+	if err := s.Register("q", tpl.SQL(), eng, newSCR()); err != nil {
+		t.Fatal(err)
+	}
+	if w, _ := postPlan(t, s.Handler(), PlanRequest{Template: "q", SVector: []float64{0.02, 0.1}}); w.Code != http.StatusOK {
+		t.Fatalf("/plan: status %d body %s", w.Code, w.Body)
+	}
+	if n, err := s.SaveSnapshots(); err != nil || n != 1 {
+		t.Fatalf("SaveSnapshots = %d, %v; want 1 snapshot", n, err)
+	}
+
+	dup := newSCR()
+	if err := s.Register("q", tpl.SQL(), eng, dup); err == nil {
+		t.Fatal("duplicate name accepted")
+	}
+	if got := dup.Stats().CurPlans; got != 0 {
+		t.Errorf("rejected registration imported %d plans into its SCR, want 0", got)
+	}
+}
+
 func TestGracefulShutdown(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := newTestServer(t, Config{SnapshotDir: dir})

@@ -53,8 +53,6 @@ type (
 	Technique = core.Technique
 	// DynamicLambda is Appendix D's per-instance λ configuration.
 	DynamicLambda = core.DynamicLambda
-	// ScanOrder selects the selectivity check's instance-list traversal.
-	ScanOrder = core.ScanOrder
 	// SnapshotSummary describes an exported plan cache.
 	SnapshotSummary = core.SnapshotSummary
 	// SnapshotPlan summarizes one cached plan within a snapshot.
@@ -123,13 +121,6 @@ const (
 	BreakerHalfOpen = core.BreakerHalfOpen
 )
 
-// Scan orders for WithScanOrder.
-const (
-	ScanInsertion = core.ScanInsertion
-	ScanByArea    = core.ScanByArea
-	ScanByUsage   = core.ScanByUsage
-)
-
 // Sentinel errors; match with errors.Is.
 var (
 	ErrNoPlan           = core.ErrNoPlan
@@ -158,9 +149,7 @@ var (
 	WithPlanBudget          = core.WithPlanBudget
 	WithCostCheckLimit      = core.WithCostCheckLimit
 	WithoutCostCheck        = core.WithoutCostCheck
-	WithGLCutoff            = core.WithGLCutoff
 	WithCandidateOrderByL   = core.WithCandidateOrderByL
-	WithScanOrder           = core.WithScanOrder
 	WithViolationDetection  = core.WithViolationDetection
 	WithDegradedFallback    = core.WithDegradedFallback
 	WithOptimizerDeadline   = core.WithOptimizerDeadline

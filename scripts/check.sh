@@ -10,7 +10,8 @@
 #   ./scripts/check.sh -lint    # additionally run pqolint + extra analyzers
 #   ./scripts/check.sh -bench   # additionally run the same-run benchmark gates
 #   ./scripts/check.sh -chaos   # additionally run the full chaos profiles
-#                               # and a 20 s fuzz of the /v1/plan decoder
+#                               # and fuzz smokes of the /v1/plan decoder
+#                               # (20 s) and response encoder (10 s)
 #
 # The short chaos profile (fault-injected serving, docs/ROBUSTNESS.md) is
 # part of the default test suite; -chaos runs the long streams.
@@ -137,6 +138,9 @@ case "${1:-}" in
     # boundary: no panic, and agreement with encoding/json on everything
     # it accepts.
     go test -run '^$' -fuzz '^FuzzDecodePlanRequest$' -fuzztime 20s ./internal/server/
+    # Fuzz smoke of the /v1/plan response encoder: byte-identical to
+    # encoding/json on every generated response.
+    go test -run '^$' -fuzz '^FuzzAppendPlanResponse$' -fuzztime 10s ./internal/server/
     ;;
 esac
 
