@@ -101,9 +101,8 @@ func (d *writeDomain) init(s *SCR) {
 }
 
 // lock acquires the domain's writer mutex, charging the wait to the
-// striped writer-wait counter (pqo_writer_wait_seconds_total): under
-// sharding, aggregate wait across domains is the direct measure of
-// residual write contention.
+// writer-wait counter (pqo_writer_wait_seconds_total): summed across
+// templates, it is the direct measure of residual write contention.
 func (d *writeDomain) lock() {
 	start := time.Now()
 	d.mu.Lock()

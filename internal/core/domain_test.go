@@ -148,12 +148,8 @@ func TestWriteDomainIsolation(t *testing.T) {
 	if scrs[0].snapshot() != idle0 || scrs[2].snapshot() != idle2 {
 		t.Error("idle domains republished by a sibling's mutations: write domains are not isolated")
 	}
-	st := dir.Stats()
-	if st.Domains != 3 {
-		t.Errorf("directory stats report %d domains, want 3", st.Domains)
-	}
-	if st.PublishTotal == 0 || st.Instances == 0 {
-		t.Errorf("directory stats did not aggregate: %+v", st)
+	if n := dir.Len(); n != 3 {
+		t.Errorf("directory reports %d domains, want 3", n)
 	}
 }
 

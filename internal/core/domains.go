@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Directory is an RCU directory of per-template write domains: each
@@ -18,7 +17,7 @@ import (
 // a published dirSnapshot resolves to a valid *SCR from one publication.
 //
 // The directory mutex orders Attach/Detach only; it is never taken by
-// Lookup, Stats, or any per-domain operation, so mutating one template's
+// Lookup or any per-domain operation, so mutating one template's
 // cache republishes only that template's snapshot and touches nothing
 // shared.
 type Directory struct {
@@ -119,78 +118,6 @@ func (d *Directory) Names() []string {
 
 // Len reports the number of attached domains.
 func (d *Directory) Len() int { return len(d.snap.Load().names) }
-
-// DirectoryStats aggregates write-path counters across every attached
-// domain. Per-domain totals are summed from each SCR's own Stats — the
-// aggregation takes no lock and stops no writer.
-type DirectoryStats struct {
-	// Domains is the number of attached write domains.
-	Domains int
-	// PublishTotal / PublishCoalesced sum snapshot publications and
-	// coalesced-away publications across domains.
-	PublishTotal     int64
-	PublishCoalesced int64
-	// WriterWait sums time writers spent waiting on domain mutexes.
-	WriterWait time.Duration
-	// Instances / Plans sum cached instance entries and plans.
-	Instances int64
-	Plans     int
-}
-
-// Stats aggregates write-path counters across all attached domains
-// without stopping the world: each domain's counters are read from its
-// own published state while writers keep running.
-func (d *Directory) Stats() DirectoryStats {
-	snap := d.snap.Load()
-	out := DirectoryStats{Domains: len(snap.scrs)}
-	for _, s := range snap.scrs {
-		st := s.Stats()
-		out.PublishTotal += st.PublishTotal
-		out.PublishCoalesced += st.PublishCoalesced
-		out.WriterWait += st.WriteLockWait
-		out.Instances += st.Instances
-		out.Plans += st.CurPlans
-	}
-	return out
-}
-
-// ExportAll serializes every attached domain's plan cache, keyed by
-// template name. Each domain exports from its own published snapshot;
-// no domain blocks another.
-func (d *Directory) ExportAll() (map[string][]byte, error) {
-	snap := d.snap.Load()
-	out := make(map[string][]byte, len(snap.names))
-	for i, name := range snap.names {
-		data, err := snap.scrs[i].Export()
-		if err != nil {
-			return nil, fmt.Errorf("core: exporting template %q: %w", name, err)
-		}
-		out[name] = data
-	}
-	return out, nil
-}
-
-// ImportAll restores per-template caches produced by ExportAll into the
-// matching attached domains. Templates present in data but not attached
-// are an error; attached templates absent from data are left untouched.
-// Each domain's import is a single publication (see SCR.Import).
-func (d *Directory) ImportAll(data map[string][]byte) error {
-	names := make([]string, 0, len(data))
-	for name := range data {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		s, ok := d.Lookup(name)
-		if !ok {
-			return fmt.Errorf("core: import for unattached template %q", name)
-		}
-		if err := s.Import(data[name]); err != nil {
-			return fmt.Errorf("core: importing template %q: %w", name, err)
-		}
-	}
-	return nil
-}
 
 // Revalidate starts one revalidation run per attached epoch-capable
 // domain, all fed through a single shared pool of `workers` goroutines.

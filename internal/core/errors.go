@@ -17,6 +17,11 @@ var (
 	// context was cancelled or its deadline expired. The wrapped chain also
 	// matches context.Canceled / context.DeadlineExceeded.
 	ErrCancelled = errors.New("pqo: cancelled")
+	// ErrInvalidSelectivity reports an instance whose selectivity vector
+	// does not match the template's dimensions or holds a value outside
+	// (0, 1] (or NaN). Process, SeedInstance and Import reject such
+	// vectors before they reach the plan cache.
+	ErrInvalidSelectivity = errors.New("pqo: invalid selectivity vector")
 	// ErrInvalidConfig reports a rejected configuration option.
 	ErrInvalidConfig = errors.New("pqo: invalid configuration")
 	// ErrOptimizerTimeout reports that a full optimizer call exceeded the

@@ -5,6 +5,28 @@ import (
 	"math"
 )
 
+// checkSVector validates an instance before it reaches the plan cache: one
+// selectivity per dimension, each in (0, 1]. A vector outside that domain
+// would poison the cache once stored as an anchor, since GLFactors rejects
+// it against every later instance.
+func checkSVector(sv []float64, dims int) error {
+	if len(sv) != dims {
+		return fmt.Errorf("%w: %d selectivities, template takes %d", ErrInvalidSelectivity, len(sv), dims)
+	}
+	for i, x := range sv {
+		if !(x > 0 && x <= 1) { // NaN fails both comparisons
+			return fmt.Errorf("%w: selectivity %v at dimension %d is outside (0,1]", ErrInvalidSelectivity, x, i)
+		}
+	}
+	return nil
+}
+
+// validAnchor reports whether (C, S) can anchor an instance entry: a
+// finite optimal cost C > 0 and a finite sub-optimality S ≥ 1.
+func validAnchor(c, s float64) bool {
+	return c > 0 && s >= 1 && !math.IsInf(c, 1) && !math.IsInf(s, 1)
+}
+
 // GLFactors computes the paper's net cost increment factor G and net cost
 // decrement factor L between a stored instance qe and a new instance qc
 // (§5.3): with αi = si(qc)/si(qe),
@@ -36,8 +58,9 @@ func GLFactors(svE, svC []float64) (g, l float64, err error) {
 
 // SelectivityRegionArea returns the area of the 2-dimensional selectivity
 // based λ-optimal region around an instance with selectivities (s1, s2):
-// (λ − 1/λ)·ln λ · s1·s2 (§5.3). It is used by tests and by the heuristic
-// that orders the instance list by decreasing region area.
+// (λ − 1/λ)·ln λ · s1·s2 (§5.3). Tests check the selectivity check's
+// region against it; the selectivity index keys on the same product of
+// selectivities (regionWeight).
 func SelectivityRegionArea(lambda, s1, s2 float64) float64 {
 	if lambda <= 1 {
 		return 0

@@ -113,11 +113,10 @@ func (s *SCR) Import(data []byte) error {
 		if !ok {
 			return fmt.Errorf("core: import instance %d references unknown plan %q", i, ij.PlanFP)
 		}
-		if len(ij.V) != s.eng.Dimensions() {
-			return fmt.Errorf("core: import instance %d has %d dimensions, engine has %d",
-				i, len(ij.V), s.eng.Dimensions())
+		if err := checkSVector(ij.V, s.eng.Dimensions()); err != nil {
+			return fmt.Errorf("core: import instance %d: %w", i, err)
 		}
-		if ij.C <= 0 || ij.S < 1 {
+		if !validAnchor(ij.C, ij.S) {
 			return fmt.Errorf("core: import instance %d has invalid C=%v S=%v", i, ij.C, ij.S)
 		}
 		e := newInstance(ij.V, pe, ij.C, ij.S, ij.U, epoch)

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -19,7 +21,7 @@ import (
 
 // realEngine builds a real TemplateEngine (which supports rehydration) over
 // a 2-d TPC-H template.
-func realEngine(t *testing.T) *engine.TemplateEngine {
+func realEngine(t testing.TB) *engine.TemplateEngine {
 	t.Helper()
 	sys, err := engine.NewSystem(catalog.NewTPCH(0.05), 9)
 	if err != nil {
@@ -145,6 +147,86 @@ func TestImportValidation(t *testing.T) {
 	}
 	if err := s2.Import(multi); err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Errorf("over-budget import: err = %v", err)
+	}
+}
+
+// warmExport returns the Export of a fresh SCR over eng after a small
+// bucketized warm-up workload.
+func warmExport(t testing.TB, eng Engine) []byte {
+	t.Helper()
+	s := mustSCR(t, eng, WithLambda(2))
+	insts, err := workload.GenerateSet(2, 30, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range insts {
+		if _, err := s.Process(context.Background(), q.SV); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := s.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// poisonExport returns data with its first instance's vector replaced by
+// [0, 0.5], which lies outside the selectivity domain (0, 1].
+func poisonExport(t testing.TB, data []byte) []byte {
+	t.Helper()
+	var c cacheJSON
+	if err := json.Unmarshal(data, &c); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Instances) == 0 {
+		t.Fatal("export has no instances to poison")
+	}
+	c.Instances[0].V = []float64{0, 0.5}
+	out, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestImportAndSeedRejectOutOfRangeSelectivity: neither a snapshot nor a
+// seed may store an anchor the selectivity check cannot use. A vector
+// outside (0, 1] would make GLFactors fail every later instance that
+// scans it, and an infinite optimal cost would make every recost ratio 0
+// and so pass every cost check.
+func TestImportAndSeedRejectOutOfRangeSelectivity(t *testing.T) {
+	eng := realEngine(t)
+	s := mustSCR(t, eng, WithLambda(2))
+	if err := s.Import(poisonExport(t, warmExport(t, eng))); !errors.Is(err, ErrInvalidSelectivity) {
+		t.Errorf("poisoned import: err = %v, want ErrInvalidSelectivity", err)
+	}
+	if n, p := s.NumInstances(), s.Stats().CurPlans; n != 0 || p != 0 {
+		t.Errorf("rejected import left %d instances and %d plans", n, p)
+	}
+
+	sv := []float64{0.3, 0.3}
+	cp, c, err := eng.Optimize(sv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SeedInstance([]float64{0, 0.5}, cp, c, 1); !errors.Is(err, ErrInvalidSelectivity) {
+		t.Errorf("seed at [0 0.5]: err = %v, want ErrInvalidSelectivity", err)
+	}
+	if err := s.SeedInstance([]float64{0.5, 1.5}, cp, c, 1); !errors.Is(err, ErrInvalidSelectivity) {
+		t.Errorf("seed at [0.5 1.5]: err = %v, want ErrInvalidSelectivity", err)
+	}
+	if err := s.SeedInstance(sv, cp, math.Inf(1), 1); err == nil {
+		t.Error("seed with optCost = +Inf accepted")
+	}
+	if err := s.SeedInstance(sv, cp, c, math.Inf(1)); err == nil {
+		t.Error("seed with subOpt = +Inf accepted")
+	}
+	if n := s.NumInstances(); n != 0 {
+		t.Errorf("rejected seeds left %d instances", n)
+	}
+	if _, err := s.Process(context.Background(), []float64{0, 0.5}); !errors.Is(err, ErrInvalidSelectivity) {
+		t.Errorf("Process at [0 0.5]: err = %v, want ErrInvalidSelectivity", err)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/stripe"
 )
 
 // config is SCR's configuration. Only Options fill it, and New supplies
@@ -131,26 +130,18 @@ func newInstance(v []float64, pp *planEntry, c, s float64, u int64, epoch uint64
 	return e
 }
 
-// counters are SCR's cumulative statistics. The counters every request
-// bumps on the lock-free read path are striped (stripe.Int64): a shared
-// atomic there would put all cores back on one cache line and re-
-// serialize the very path the RCU snapshot freed. Counters touched only
-// on slow paths (optimizer calls, evictions, breaker transitions,
-// revalidation) stay plain atomics — striping them would buy nothing and
-// cost 4KiB each.
+// counters are SCR's cumulative statistics, plain atomics read lock-free
+// by Stats. Striping the per-request ones was measured on 2 vCPUs and
+// dropped: it bought no latency or scaling and cost 4 KiB per counter
+// (docs/PERF.md).
 type counters struct {
-	// Hot: bumped by every Process / selectivity check / cost check.
-	instances      stripe.Int64
-	readPathHits   stripe.Int64
-	selChecks      stripe.Int64
-	getPlanRecosts stripe.Int64
+	instances      atomic.Int64
+	readPathHits   atomic.Int64
+	selChecks      atomic.Int64
+	getPlanRecosts atomic.Int64
 	// writerWaitNs accumulates time spent waiting to acquire a write
-	// domain's mutex (pqo_writer_wait_seconds_total). Striped: under a
-	// miss-heavy load every Process may charge it, and the whole point of
-	// sharded write domains is that those writers not share a cache line.
-	writerWaitNs stripe.Int64
-
-	// Cold: slow-path only.
+	// domain's mutex (pqo_writer_wait_seconds_total).
+	writerWaitNs   atomic.Int64
 	optCalls       atomic.Int64
 	sharedOptCalls atomic.Int64
 	manageRecosts  atomic.Int64
@@ -370,7 +361,7 @@ func (s *SCR) Name() string {
 }
 
 // Stats returns cumulative counters. It reads the published snapshot and
-// the (striped) counters, never the writer mutex, so scraping /stats under
+// the atomic counters, never the writer mutex, so scraping /stats under
 // load perturbs nothing.
 func (s *SCR) Stats() Stats {
 	snap := s.snapshot()
@@ -489,6 +480,9 @@ func (s *SCR) prepareEpoch(pi *engine.PreparedInstance) uint64 {
 // by the degraded-mode fallback (degrade.go) with Decision.Degraded set.
 // Context cancellation still errors — a cancelled caller wants no plan.
 func (s *SCR) Process(ctx context.Context, sv []float64) (dec *Decision, err error) {
+	if err := checkSVector(sv, s.eng.Dimensions()); err != nil {
+		return nil, err
+	}
 	s.ctr.instances.Add(1)
 	if err := ctx.Err(); err != nil {
 		return nil, cancelled(err)
@@ -672,10 +666,10 @@ const selWindowSlop = 1e-9
 // (the SelChecks accounting), and (nil, n, nil) on a miss — which, by the
 // window invariant on selIndex, proves NO entry passes the selectivity
 // check, so the caller can go straight to cost-check candidate
-// collection. A probe leaves the served entry's usage count alone. An
-// invalid query vector yields an empty or garbage window;
-// the miss path's full scan surfaces the per-dimension validation error
-// exactly as before.
+// collection. A probe leaves the served entry's usage count alone.
+// Process rejects invalid query vectors before any check (checkSVector);
+// for a probe, an invalid vector yields an empty or garbage window and
+// the miss path's full scan surfaces GLFactors' validation error.
 func (s *SCR) selHit(snap *cacheSnapshot, sv []float64, probe bool) (*Decision, int, error) {
 	idx := &snap.index
 	if len(idx.keys) == 0 {
@@ -978,10 +972,10 @@ func (s *SCR) SeedInstance(sv []float64, cp *engine.CachedPlan, optCost, subOpt 
 	if cp == nil {
 		return fmt.Errorf("%w: seed with nil plan", ErrNoPlan)
 	}
-	if len(sv) != s.eng.Dimensions() {
-		return fmt.Errorf("core: seed sVector has %d dims, engine has %d", len(sv), s.eng.Dimensions())
+	if err := checkSVector(sv, s.eng.Dimensions()); err != nil {
+		return fmt.Errorf("core: seed: %w", err)
 	}
-	if optCost <= 0 || subOpt < 1 || math.IsNaN(optCost) || math.IsNaN(subOpt) {
+	if !validAnchor(optCost, subOpt) {
 		return fmt.Errorf("core: seed with invalid optCost=%v subOpt=%v", optCost, subOpt)
 	}
 	d := &s.dom

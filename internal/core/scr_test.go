@@ -27,7 +27,7 @@ func twoPlaneEngine(t *testing.T) *pqotest.Engine {
 	return eng
 }
 
-func mustSCR(t *testing.T, eng Engine, opts ...Option) *SCR {
+func mustSCR(t testing.TB, eng Engine, opts ...Option) *SCR {
 	t.Helper()
 	s, err := New(eng, opts...)
 	if err != nil {

@@ -2,8 +2,7 @@ package engine
 
 import (
 	"sync"
-
-	"repro/internal/stripe"
+	"sync/atomic"
 )
 
 // recostKey identifies one (plan, instance, statistics generation) recost
@@ -44,14 +43,12 @@ type recostShard struct {
 
 // recostCache memoizes Recost results per engine. Recost is deterministic
 // in (plan, sv, footprint histograms), so an entry stays valid for as long
-// as its cost epoch is current. The hit/miss
-// counters are bumped by every cost-check recost on the serving path, so
-// they are striped: a shared atomic pair here would put all cores back on
-// the same two cache lines the shard locks just avoided.
+// as its cost epoch is current. hits and misses count lookups for
+// RecostCacheCounters.
 type recostCache struct {
 	shards [recostShards]recostShard
-	hits   stripe.Int64
-	misses stripe.Int64
+	hits   atomic.Int64
+	misses atomic.Int64
 }
 
 func (c *recostCache) shardFor(k recostKey) *recostShard {

@@ -254,14 +254,15 @@ func (s *Server) lastAdvance() time.Time {
 // epochLagSeconds is the pqo_epoch_lag_seconds gauge: how long the oldest
 // still-lagging plan-cache anchor has been behind the current epoch,
 // approximated as time since the last advance while any template reports
-// lagging instances — 0 once revalidation has drained.
-func (s *Server) epochLagSeconds() float64 {
+// lagging instances — 0 once revalidation has drained. It reads the
+// scrape's per-template Stats instead of taking its own.
+func (s *Server) epochLagSeconds(stats []statsSnapshot) float64 {
 	last := s.lastAdvance()
 	if last.IsZero() {
 		return 0
 	}
-	for _, e := range s.snapshotEntries() {
-		if e.scr.Stats().LaggingInstances > 0 {
+	for i := range stats {
+		if stats[i].LaggingInstances > 0 {
 			return time.Since(last).Seconds()
 		}
 	}

@@ -72,8 +72,8 @@ const (
 
 // writeMetrics renders every registered template's counters and latency
 // histograms in Prometheus text exposition format. Each template's Stats
-// are read once per scrape: every series of one template comes from the
-// same reading.
+// are read exactly once per scrape: every series of one template,
+// pqo_epoch_lag_seconds included, comes from the same reading.
 func (s *Server) writeMetrics(w io.Writer) {
 	entries := s.snapshotEntries()
 	stats := make([]statsSnapshot, len(entries))
@@ -140,7 +140,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.RevalidatedPlans) }},
 		{"pqo_epoch_lag_fallbacks_total", "Instances served flagged because their candidates lagged the template's current cost epoch.",
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.EpochLagFallbacks) }},
-		{"pqo_writer_wait_seconds_total", "Time writers waited to acquire this template's write-domain mutex (striped accumulation).",
+		{"pqo_writer_wait_seconds_total", "Time writers waited to acquire this template's write-domain mutex.",
 			func(st statsSnapshot) string { return fmt.Sprintf("%g", st.WriteLockWait.Seconds()) }},
 		{"pqo_publish_total", "RCU snapshot publications for this template's write domain.",
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.PublishTotal) }},
@@ -169,7 +169,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 
 	fmt.Fprintln(w, "# HELP pqo_write_domains Per-template RCU write domains attached to this server's directory.")
 	fmt.Fprintln(w, "# TYPE pqo_write_domains gauge")
-	fmt.Fprintf(w, "pqo_write_domains %d\n", s.dir.Stats().Domains)
+	fmt.Fprintf(w, "pqo_write_domains %d\n", s.dir.Len())
 
 	fmt.Fprintln(w, "# HELP pqo_shed_total /plan requests shed with 429 because every in-flight slot stayed busy.")
 	fmt.Fprintln(w, "# TYPE pqo_shed_total counter")
@@ -177,7 +177,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 
 	fmt.Fprintln(w, "# HELP pqo_epoch_lag_seconds Seconds since the last epoch advance while any plan-cache anchor still lags it (0 once revalidation drains).")
 	fmt.Fprintln(w, "# TYPE pqo_epoch_lag_seconds gauge")
-	fmt.Fprintf(w, "pqo_epoch_lag_seconds %g\n", s.epochLagSeconds())
+	fmt.Fprintf(w, "pqo_epoch_lag_seconds %g\n", s.epochLagSeconds(stats))
 
 	fmt.Fprintln(w, "# HELP pqo_check_latency_seconds /plan decision latency by serving mechanism: from after request decode and slot acquisition to the priced decision, excluding response encoding.")
 	fmt.Fprintln(w, "# TYPE pqo_check_latency_seconds histogram")

@@ -369,7 +369,7 @@ func TestHealthzStates(t *testing.T) {
 			t.Fatalf("healthz = %+v, want degraded epoch 1 cluster 5 skew 4", hs)
 		}
 		// Decisions served while past the bound carry the epoch-skew flag.
-		pw, plan := postPlan(t, h, PlanRequest{Template: "q2", SVector: []float64{0.4, 30}})
+		pw, plan := postPlan(t, h, PlanRequest{Template: "q2", SVector: []float64{0.4, 0.3}})
 		if pw.Code != http.StatusOK {
 			t.Fatalf("plan under skew status = %d: %s", pw.Code, pw.Body)
 		}

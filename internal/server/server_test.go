@@ -112,6 +112,53 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestRequestContext pins the lazily armed request deadline: Err answers
+// from the clock before anything waits, Done closes at the deadline with
+// Err agreeing, the parent's cancellation passes through, and the earlier
+// of the two deadlines wins.
+func TestRequestContext(t *testing.T) {
+	rc := newRequestContext(context.Background(), 20*time.Millisecond)
+	if err := rc.Err(); err != nil {
+		t.Fatalf("fresh Err = %v", err)
+	}
+	if rc.armed.Load() {
+		t.Fatal("Err armed the deadline timer")
+	}
+	select {
+	case <-rc.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("Done did not close at the deadline")
+	}
+	if err := rc.Err(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Err after Done = %v, want DeadlineExceeded", err)
+	}
+	rc.release()
+
+	expired := newRequestContext(context.Background(), time.Nanosecond)
+	time.Sleep(time.Millisecond)
+	if err := expired.Err(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("unarmed Err past the deadline = %v", err)
+	}
+	expired.release()
+
+	parent, cancel := context.WithCancel(context.Background())
+	rc = newRequestContext(parent, time.Hour)
+	done := rc.Done()
+	cancel()
+	<-done
+	if err := rc.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Err after parent cancel = %v, want Canceled", err)
+	}
+	rc.release()
+
+	soon := time.Now().Add(time.Minute)
+	pctx, pcancel := context.WithDeadline(context.Background(), soon)
+	defer pcancel()
+	if d, ok := newRequestContext(pctx, time.Hour).Deadline(); !ok || !d.Equal(soon) {
+		t.Fatalf("Deadline = %v, %v; want the parent's %v", d, ok, soon)
+	}
+}
+
 func TestTemplatesStatsMetrics(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	h := s.Handler()
@@ -433,5 +480,50 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if _, err := http.Post(url+"/v1/plan", "application/json", bytes.NewReader(body)); err == nil {
 		t.Error("server still accepting connections after shutdown")
+	}
+}
+
+// TestPlanRejectsOutOfRangeSelectivity: a selectivity outside (0, 1] is
+// a bad request. Were it served, the plan cache would keep it as an
+// anchor that every later selectivity check rejects, failing every
+// request that reaches the instance scan.
+func TestPlanRejectsOutOfRangeSelectivity(t *testing.T) {
+	sys, err := pqo.NewSystem(pqo.TPCH(0.01), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpl, err := pqo.ParseTemplate("q1", `SELECT * FROM lineitem, orders
+		WHERE lineitem.l_orderkey = orders.o_orderkey
+		  AND lineitem.l_shipdate <= ?0
+		  AND orders.o_totalprice >= ?1`, sys.Cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := sys.EngineFor(tpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scr, err := pqo.New(eng, pqo.WithLambda(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+	if err := s.Register("q1", tpl.SQL(), eng, scr); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, sv := range [][]float64{{0, 0.5}, {-0.1, 0.5}, {0.5, 1.5}} {
+		w, _ := postPlan(t, h, PlanRequest{Template: "q1", SVector: sv})
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `"sentinel":"ErrBadRequest"`) {
+			t.Errorf("sVector %v: status %d body %s, want 400 ErrBadRequest", sv, w.Code, w.Body)
+		}
+	}
+	if n := scr.NumInstances(); n != 0 {
+		t.Fatalf("rejected vectors left %d instances in the cache", n)
+	}
+	for _, sv := range [][]float64{{0.2, 0.3}, {0.01, 0.9}, {0.5, 0.5}, {1, 1}} {
+		if w, _ := postPlan(t, h, PlanRequest{Template: "q1", SVector: sv}); w.Code != http.StatusOK {
+			t.Errorf("sVector %v after the rejected ones: status %d body %s", sv, w.Code, w.Body)
+		}
 	}
 }

@@ -78,9 +78,6 @@ type (
 	// templates never contend and revalidation schedules across domains
 	// usage-weighted.
 	Directory = core.Directory
-	// DirectoryStats aggregates Stats-level counters across a Directory's
-	// domains without stopping writers.
-	DirectoryStats = core.DirectoryStats
 	// Epoch is one statistics generation: a monotonic id plus the
 	// immutable statistics store it names.
 	Epoch = stats.Epoch
@@ -123,16 +120,17 @@ const (
 
 // Sentinel errors; match with errors.Is.
 var (
-	ErrNoPlan           = core.ErrNoPlan
-	ErrBudgetExhausted  = core.ErrBudgetExhausted
-	ErrCancelled        = core.ErrCancelled
-	ErrInvalidConfig    = core.ErrInvalidConfig
-	ErrOptimizerTimeout = core.ErrOptimizerTimeout
-	ErrOptimizerPanic   = core.ErrOptimizerPanic
-	ErrBreakerOpen      = core.ErrBreakerOpen
-	ErrUnavailable      = core.ErrUnavailable
-	ErrEpochUnsupported = core.ErrEpochUnsupported
-	ErrSnapshotCorrupt  = core.ErrSnapshotCorrupt
+	ErrNoPlan             = core.ErrNoPlan
+	ErrBudgetExhausted    = core.ErrBudgetExhausted
+	ErrCancelled          = core.ErrCancelled
+	ErrInvalidConfig      = core.ErrInvalidConfig
+	ErrInvalidSelectivity = core.ErrInvalidSelectivity
+	ErrOptimizerTimeout   = core.ErrOptimizerTimeout
+	ErrOptimizerPanic     = core.ErrOptimizerPanic
+	ErrBreakerOpen        = core.ErrBreakerOpen
+	ErrUnavailable        = core.ErrUnavailable
+	ErrEpochUnsupported   = core.ErrEpochUnsupported
+	ErrSnapshotCorrupt    = core.ErrSnapshotCorrupt
 )
 
 // New builds an SCR plan cache over eng from functional options; see the

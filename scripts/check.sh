@@ -11,7 +11,8 @@
 #   ./scripts/check.sh -bench   # additionally run the same-run benchmark gates
 #   ./scripts/check.sh -chaos   # additionally run the full chaos profiles
 #                               # and fuzz smokes of the /v1/plan decoder
-#                               # (20 s) and response encoder (10 s)
+#                               # (20 s), response encoder (10 s) and
+#                               # snapshot import (10 s)
 #
 # The short chaos profile (fault-injected serving, docs/ROBUSTNESS.md) is
 # part of the default test suite; -chaos runs the long streams.
@@ -141,6 +142,10 @@ case "${1:-}" in
     # Fuzz smoke of the /v1/plan response encoder: byte-identical to
     # encoding/json on every generated response.
     go test -run '^$' -fuzz '^FuzzAppendPlanResponse$' -fuzztime 10s ./internal/server/
+    # Fuzz smoke of SCR.Import, the trust boundary a snapshot file crosses
+    # on restart: no panic, a rejected snapshot leaves the cache empty, an
+    # accepted one serves valid instances and re-exports a fixed point.
+    go test -run '^$' -fuzz '^FuzzImport$' -fuzztime 10s ./internal/core/
     ;;
 esac
 
