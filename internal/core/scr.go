@@ -407,7 +407,6 @@ func (s *SCR) Stats() Stats {
 	st.BreakerState = s.breaker.State()
 	st.BreakerOpens, st.BreakerHalfOpens, st.BreakerCloses = s.breaker.Counters()
 	if rep, ok := s.eng.(CacheReporter); ok {
-		st.RecostCacheHits, st.RecostCacheMisses = rep.RecostCacheCounters()
 		st.EnvPoolGets, st.EnvPoolReuses = rep.EnvPoolCounters()
 	}
 	if fr, ok := s.eng.(FaultReporter); ok {

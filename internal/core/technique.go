@@ -186,12 +186,9 @@ type Stats struct {
 	// RedundantPlansRejected counts new plans discarded by the
 	// redundancy check.
 	RedundantPlansRejected int64
-	// RecostCacheHits / RecostCacheMisses report the engine's recost
-	// result cache (zero when the engine does not implement CacheReporter).
-	RecostCacheHits   int64
-	RecostCacheMisses int64
 	// EnvPoolGets / EnvPoolReuses report the engine's pooled selectivity
-	// environments: contexts handed out and pool reuses.
+	// environments: contexts handed out and pool reuses (zero when the
+	// engine does not implement CacheReporter).
 	EnvPoolGets   int64
 	EnvPoolReuses int64
 	// DegradedDecisions counts instances served by the degraded-mode
@@ -310,11 +307,8 @@ type FaultReporter interface {
 }
 
 // CacheReporter is the optional accounting surface of an Engine exposing
-// the recost-result-cache and pooled-environment counters surfaced through
-// Stats and /metrics.
+// the pooled-environment counters surfaced through Stats and /metrics.
 type CacheReporter interface {
-	// RecostCacheCounters reports recost-cache hits and misses.
-	RecostCacheCounters() (hits, misses int64)
 	// EnvPoolCounters reports pooled selectivity environments handed out
 	// and pool reuses.
 	EnvPoolCounters() (gets, reuses int64)

@@ -24,10 +24,10 @@ type costRecord struct {
 }
 
 // record derives tpl's record under the optimizer's current epoch through
-// a fresh engine, so no recost-cache entry can stand in for a computed
-// cost. It also checks that the long-lived engine, whose recost cache
-// survives advances, returns exactly the freshly computed costs: a cache
-// key that missed a statistics change would serve the old cost here.
+// a fresh engine, so nothing the long-lived engine kept across advances
+// can stand in for a computed cost. It also checks that the long-lived
+// engine returns exactly the freshly computed costs: any per-engine state
+// that missed a statistics change would serve the old cost here.
 func record(t *testing.T, long *engine.TemplateEngine, svs [][]float64, plans []*engine.CachedPlan) costRecord {
 	t.Helper()
 	fresh, err := engine.NewTemplateEngine(long.Tpl, long.Opt)
@@ -48,13 +48,13 @@ func record(t *testing.T, long *engine.TemplateEngine, svs [][]float64, plans []
 			if err != nil {
 				t.Fatal(err)
 			}
-			cached, err := long.Recost(cp, sv)
+			got, err := long.Recost(cp, sv)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Float64bits(cached) != math.Float64bits(c) {
-				t.Fatalf("%s: cached recost %v, fresh recost %v at cost epoch %d: stale cost served",
-					long.Tpl.Name, cached, c, long.CostEpoch())
+			if math.Float64bits(got) != math.Float64bits(c) {
+				t.Fatalf("%s: long-lived recost %v, fresh recost %v at cost epoch %d: stale cost served",
+					long.Tpl.Name, got, c, long.CostEpoch())
 			}
 			r.recost = append(r.recost, math.Float64bits(c))
 		}
@@ -94,8 +94,8 @@ func randomDelta(rng *rand.Rand, st *stats.Store, key string) stats.HistogramDel
 //   - a template whose footprint column changed has the new epoch id as
 //     its cost epoch;
 //   - the resample moves exactly the templates with a footprint;
-//   - the long-lived engines' recost caches never return a cost that a
-//     fresh computation under the current statistics disagrees with.
+//   - the long-lived engines never return a recost that a fresh
+//     computation under the current statistics disagrees with.
 func TestCostEpochSoundness(t *testing.T) {
 	systems, err := suite.NewSystems(5)
 	if err != nil {

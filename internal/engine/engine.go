@@ -54,10 +54,6 @@ type TemplateEngine struct {
 	optCalls    atomic.Int64
 	recostCalls atomic.Int64
 
-	// rc memoizes recost results per (plan fingerprint, sv hash, cost
-	// epoch); see recostKey.
-	rc recostCache
-
 	// footprint lists the histogram columns the template's constant
 	// predicates read (query.Template.Footprint); CostEpoch derives from it.
 	footprint []string
@@ -99,18 +95,18 @@ func (e *TemplateEngine) OptimizeEpoch(sv []float64) (*CachedPlan, float64, uint
 	return &CachedPlan{Plan: p, SM: sm}, c, epoch, nil
 }
 
-// Recost computes the cost of a cached plan at sv via its shrunken memo,
-// consulting the recost result cache first. Callers recosting several plans
-// for one instance should batch through PrepareRecost instead.
+// Recost computes the cost of a cached plan at sv via its shrunken memo.
+// Callers recosting several plans for one instance should batch through
+// PrepareRecost instead.
 func (e *TemplateEngine) Recost(cp *CachedPlan, sv []float64) (float64, error) {
 	c, _, err := e.RecostEpoch(cp, sv)
 	return c, err
 }
 
 // RecostEpoch is Recost plus the cost epoch the cost was derived under. It
-// routes through the prepared-instance path so the pinned environment, the
-// returned epoch and the recost-cache key all name the same generation
-// even if AdvanceEpoch lands concurrently.
+// routes through the prepared-instance path so the pinned environment and
+// the returned epoch name the same generation even if AdvanceEpoch lands
+// concurrently.
 func (e *TemplateEngine) RecostEpoch(cp *CachedPlan, sv []float64) (float64, uint64, error) {
 	if cp == nil {
 		return 0, 0, fmt.Errorf("engine: recost of nil cached plan")
@@ -137,16 +133,15 @@ func (e *TemplateEngine) StatsEpoch() uint64 { return e.Opt.Epoch().ID }
 // epoch, so it tags derived costs in place of StatsEpoch.
 func (e *TemplateEngine) CostEpoch() uint64 { return e.Opt.Epoch().CostEpoch(e.footprint) }
 
-// RecostCacheCounters reports cumulative recost-cache hits and misses.
-func (e *TemplateEngine) RecostCacheCounters() (hits, misses int64) {
-	return e.rc.counters()
-}
+// RecostCacheCounters always returns (0, 0): the engine keeps no recost
+// result cache, since a shrunken-memo Recost is cheaper than a cache hit
+// (docs/PERF.md). It stays for planbench, which reads it.
+func (e *TemplateEngine) RecostCacheCounters() (hits, misses int64) { return 0, 0 }
 
 // AdvanceEpoch installs st as the next statistics generation and returns
-// the new epoch. No cache flush is needed: recost results are keyed by
-// cost epoch, so a template whose footprint changed stops matching its old
-// entries (they age out under the shard-capacity sweep), and a template
-// whose footprint did not change keeps them. The cacheinvalidation
+// the new epoch. Nothing derived from statistics is cached per engine, so
+// there is nothing to flush: every Recost after the advance reads the new
+// generation through its pinned environment. The cacheinvalidation
 // analyzer requires every statistics swap to go through AdvanceEpoch
 // (docs/LINT.md).
 func (e *TemplateEngine) AdvanceEpoch(st *stats.Store) *stats.Epoch {

@@ -64,12 +64,12 @@ func TestEngineOptimizeAndRecost(t *testing.T) {
 	}
 }
 
-// TestSetStatsFlushesRecostCache checks that a statistics swap never
-// serves a stale recost: a template whose constant predicate reads a
-// replaced histogram must miss the recost cache afterwards. The converse
-// holds too: a template with no footprint has identical costs under the
-// new store, so its entries stay valid and keep hitting.
-func TestSetStatsFlushesRecostCache(t *testing.T) {
+// TestSetStatsRecostsUnderNewStatistics checks that a statistics swap
+// never serves a stale recost: after it, a template whose constant
+// predicate reads a replaced histogram recosts exactly as an engine built
+// on the new statistics does, and a template with no footprint recosts
+// exactly as before the swap.
+func TestSetStatsRecostsUnderNewStatistics(t *testing.T) {
 	sys, tpl := testSystem(t)
 	constTpl := *tpl
 	constTpl.Name = "q2d_const"
@@ -77,8 +77,9 @@ func TestSetStatsFlushesRecostCache(t *testing.T) {
 		query.Predicate{Table: "orders", Column: "o_totalprice", Op: query.GE, Param: -1, Value: 1000})
 	sv := []float64{0.05, 0.1}
 	type warm struct {
-		eng *TemplateEngine
-		cp  *CachedPlan
+		eng    *TemplateEngine
+		cp     *CachedPlan
+		before float64
 	}
 	var engs []warm
 	for _, tp := range []*query.Template{tpl, &constTpl} {
@@ -90,16 +91,11 @@ func TestSetStatsFlushesRecostCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// First recost fills the cache; the second must hit it.
-		for i := 0; i < 2; i++ {
-			if _, err := eng.Recost(cp, sv); err != nil {
-				t.Fatal(err)
-			}
+		c, err := eng.Recost(cp, sv)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if hits, _ := eng.RecostCacheCounters(); hits == 0 {
-			t.Fatalf("%s: expected a recost-cache hit before the stats swap", tp.Name)
-		}
-		engs = append(engs, warm{eng, cp})
+		engs = append(engs, warm{eng, cp, c})
 	}
 
 	// Swap in a statistics store built from different data: every
@@ -109,21 +105,30 @@ func TestSetStatsFlushesRecostCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	engs[0].eng.SetStats(sys2.Stats)
+	after := make([]float64, len(engs))
 	for i, w := range engs {
-		wantMiss := i == 1
-		hitsBefore, missesBefore := w.eng.RecostCacheCounters()
-		if _, err := w.eng.Recost(w.cp, sv); err != nil {
+		if after[i], err = w.eng.Recost(w.cp, sv); err != nil {
 			t.Fatal(err)
 		}
-		hitsAfter, missesAfter := w.eng.RecostCacheCounters()
-		switch {
-		case wantMiss && missesAfter != missesBefore+1:
-			t.Errorf("%s: recost after SetStats hit the cache (misses %d -> %d); stale cost served",
-				w.eng.Tpl.Name, missesBefore, missesAfter)
-		case !wantMiss && hitsAfter != hitsBefore+1:
-			t.Errorf("%s: recost after SetStats missed (hits %d -> %d); a template with no footprint must keep its entries",
-				w.eng.Tpl.Name, hitsBefore, hitsAfter)
-		}
+	}
+	if after[0] != engs[0].before {
+		t.Errorf("%s: recost after SetStats = %v, want the pre-swap %v; a template with no footprint keeps its costs",
+			tpl.Name, after[0], engs[0].before)
+	}
+	fresh, err := sys2.EngineFor(&constTpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Recost(engs[1].cp, sv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(after[1]) != math.Float64bits(want) {
+		t.Errorf("%s: recost after SetStats = %v, fresh engine on the new statistics = %v; stale cost served",
+			constTpl.Name, after[1], want)
+	}
+	if after[1] == engs[1].before {
+		t.Errorf("%s: recost unchanged by a swap that replaced its footprint histogram (%v)", constTpl.Name, after[1])
 	}
 	if got, want := engs[0].eng.CostEpoch(), uint64(1); got != want {
 		t.Errorf("footprint-free cost epoch = %d, want %d", got, want)

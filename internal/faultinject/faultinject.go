@@ -228,7 +228,6 @@ type batchEngine interface {
 
 // cacheReporter mirrors core.CacheReporter.
 type cacheReporter interface {
-	RecostCacheCounters() (hits, misses int64)
 	EnvPoolCounters() (gets, reuses int64)
 }
 
@@ -298,16 +297,8 @@ func (e *FaultyEngine) PrepareRecost(sv []float64) (*engine.PreparedInstance, er
 	return be.PrepareRecost(sv)
 }
 
-// RecostCacheCounters implements core.CacheReporter by delegation; zeros
-// when the inner engine does not report.
-func (e *FaultyEngine) RecostCacheCounters() (hits, misses int64) {
-	if cr, ok := e.inner.(cacheReporter); ok {
-		return cr.RecostCacheCounters()
-	}
-	return 0, 0
-}
-
-// EnvPoolCounters implements core.CacheReporter by delegation.
+// EnvPoolCounters implements core.CacheReporter by delegation; zeros when
+// the inner engine does not report.
 func (e *FaultyEngine) EnvPoolCounters() (gets, reuses int64) {
 	if cr, ok := e.inner.(cacheReporter); ok {
 		return cr.EnvPoolCounters()

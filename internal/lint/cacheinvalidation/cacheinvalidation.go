@@ -1,12 +1,12 @@
 // Package cacheinvalidation checks that every mutation of an engine's or
 // optimizer's statistics/catalog reference is post-dominated by an
-// AdvanceEpoch call. The recost result cache memoizes costs that are
-// deterministic in (plan, sv, statistics); swapping the statistics store
-// outside the epoch lifecycle leaves stale costs behind, which silently
-// corrupts the cost check and with it the λ-guarantee (docs/PERF.md,
-// docs/LINT.md). AdvanceEpoch installs the swap as a new statistics
-// generation: cached results are keyed by cost epoch, so entries whose
-// statistics changed stop matching by construction and age out
+// AdvanceEpoch call. Plan-cache anchors hold costs that are deterministic
+// in (plan, sv, statistics) and carry the cost epoch they were derived
+// under; swapping the statistics store outside the epoch lifecycle leaves
+// the cost epoch unmoved, so stale anchors look current, which silently
+// corrupts the cost check and with it the λ-guarantee (docs/LINT.md).
+// AdvanceEpoch installs the swap as a new statistics generation: anchors
+// whose statistics changed lag by construction and revalidate
 // (docs/STATS.md).
 package cacheinvalidation
 
@@ -32,11 +32,11 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // mutatedFields are the selector names whose reassignment invalidates
-// cached recost results.
+// costs derived from statistics.
 var mutatedFields = map[string]bool{"Stats": true, "Cat": true, "Catalog": true}
 
 // advanceName is the call that performs the invalidation: AdvanceEpoch
-// invalidates by construction because cached recost results are keyed by
+// invalidates by construction because derived costs are tagged with their
 // cost epoch.
 const advanceName = "AdvanceEpoch"
 

@@ -18,7 +18,7 @@ type Epoch struct{ ID int }
 func (e *TemplateEngine) AdvanceEpoch(st *Store) *Epoch { return &Epoch{} }
 
 // goodSwapThenAdvance is the required pattern: an epoch advance
-// invalidates by construction — cached recost results are keyed by cost
+// invalidates by construction — derived costs are tagged with their cost
 // epoch.
 func goodSwapThenAdvance(e *TemplateEngine, st *Store) {
 	e.Opt.Stats = st

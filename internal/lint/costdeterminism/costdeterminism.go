@@ -1,8 +1,9 @@
 // Package costdeterminism checks that cost computation is a pure function of
-// (plan, selectivity vector, statistics). The recost result cache, the plan
-// fingerprints SCR keys its plan list by, and the differential fuzz oracle
-// (docs/PERF.md) all assume float-exact reproducibility, and the paper's
-// λ-guarantee is only as sound as the cost model's determinism — so inside
+// (plan, selectivity vector, statistics). The cost-epoch tags on anchors,
+// the plan fingerprints SCR keys its plan list by, and the differential
+// fuzz oracle (docs/PERF.md) all assume float-exact reproducibility, and
+// the paper's λ-guarantee is only as sound as the cost model's
+// determinism — so inside
 // the cost-bearing packages (internal/memo, internal/cost, internal/stats)
 // the analyzer forbids:
 //

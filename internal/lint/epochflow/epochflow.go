@@ -7,8 +7,8 @@
 // Two checks:
 //
 //  1. Epoch plumbing. A composite literal of an epoch-bearing struct
-//     (anchor, recostKey, Decision, cacheSnapshot, ...) that sets other
-//     fields but omits the epoch field silently pins the zero epoch to
+//     (anchor, Decision, cacheSnapshot, ...) that sets other fields but
+//     omits the epoch field silently pins the zero epoch to
 //     the artifact — it would never match the current generation, or
 //     worse, match epoch 0 forever. Positional literals necessarily set
 //     every field and pass; empty literals are zero-value scaffolding and

@@ -18,9 +18,9 @@ import (
 // advances the epoch, and kicks off background revalidation of every
 // registered plan cache; GET /v1/admin/epochs lists every generation this
 // process has served with its revalidation progress. Serving never
-// pauses: the recost cache is epoch-keyed (old entries age out instead of
-// being flushed) and plan-cache anchors revalidate lazily while the read
-// path keeps answering from the generation each entry was derived under.
+// pauses: nothing is flushed, and plan-cache anchors revalidate lazily
+// while the read path keeps answering from the generation each entry was
+// derived under.
 
 // adminState holds the optional system handle and the epoch log.
 type adminState struct {

@@ -102,10 +102,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.WritePathHits) }},
 		{"pqo_getplan_recosts_total", "Recost calls on the critical path (cost check).",
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.GetPlanRecosts) }},
-		{"pqo_recost_cache_hits_total", "Recost result cache hits.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.RecostCacheHits) }},
-		{"pqo_recost_cache_misses_total", "Recost result cache misses.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.RecostCacheMisses) }},
 		{"pqo_env_pool_gets_total", "Pooled selectivity environments handed out.",
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.EnvPoolGets) }},
 		{"pqo_env_pool_reuses_total", "Pooled selectivity environments reused from the pool.",

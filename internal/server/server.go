@@ -38,6 +38,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"sync"
@@ -288,12 +289,25 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, h)
 }
 
+// servingGCPercent is the collector's pacing while a Server serves: a
+// collection starts when the heap reaches three times the live heap
+// rather than twice it (docs/PERF.md "GC pacing").
+const servingGCPercent = 200
+
 // Serve accepts connections on ln until Shutdown. It returns
 // http.ErrServerClosed after a graceful shutdown.
+//
+// Unless GOGC is set in the environment, Serve sets the process's GC
+// percent to servingGCPercent. A plan-cache service's live heap is small,
+// so at the runtime's default of 100 it collects often, and each mark
+// phase takes a processor from serving. GOGC overrides the choice.
 func (s *Server) Serve(ln net.Listener) error {
 	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	if err := s.setServing(srv); err != nil {
 		return err
+	}
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(servingGCPercent)
 	}
 	return srv.Serve(ln)
 }
@@ -723,8 +737,6 @@ type StatsRow struct {
 	WriteDomains      int     `json:"writeDomains"`
 	PublishTotal      int64   `json:"publishTotal"`
 	PublishCoalesced  int64   `json:"publishCoalesced"`
-	RecostCacheHits   int64   `json:"recostCacheHits"`
-	RecostCacheMisses int64   `json:"recostCacheMisses"`
 	Degraded          int64   `json:"degradedDecisions"`
 	ReadPathErrors    int64   `json:"readPathErrors"`
 	BreakerState      string  `json:"breakerState"`
@@ -758,8 +770,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			WriteDomains:      st.WriteDomains,
 			PublishTotal:      st.PublishTotal,
 			PublishCoalesced:  st.PublishCoalesced,
-			RecostCacheHits:   st.RecostCacheHits,
-			RecostCacheMisses: st.RecostCacheMisses,
 			Degraded:          st.DegradedDecisions,
 			ReadPathErrors:    st.ReadPathErrors,
 			BreakerState:      st.BreakerState.String(),

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -301,11 +302,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecostCacheMetrics drives a real template engine through /plan and
-// asserts the recost result cache reports a nonzero hit rate: every /plan
-// response recosts the decided plan at the request's selectivity vector, so
-// a repeated identical request must be answered from the cache.
-func TestRecostCacheMetrics(t *testing.T) {
+// TestEnvPoolMetrics drives a real template engine through /plan and
+// asserts /metrics reports the engine's pooled selectivity environments:
+// every /plan response recosts the decided plan through one.
+func TestEnvPoolMetrics(t *testing.T) {
 	sys, err := pqo.NewSystem(pqo.TPCH(0.01), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -337,35 +337,14 @@ func TestRecostCacheMetrics(t *testing.T) {
 		}
 	}
 
-	hits, misses := eng.RecostCacheCounters()
-	if hits == 0 {
-		t.Errorf("recost cache hits = 0 (misses = %d), want > 0", misses)
+	gets, _ := eng.EnvPoolCounters()
+	if gets == 0 {
+		t.Fatal("env pool gets = 0, want > 0")
 	}
-	if misses == 0 {
-		t.Errorf("recost cache misses = 0, want > 0 (first recost must miss)")
-	}
-
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
-	body := w.Body.String()
-	if got := promValue(t, body, `pqo_recost_cache_hits_total{template="q"}`); got != hits {
-		t.Errorf("/metrics recost cache hits = %d, want %d", got, hits)
-	}
-	if got := promValue(t, body, `pqo_recost_cache_misses_total{template="q"}`); got != misses {
-		t.Errorf("/metrics recost cache misses = %d, want %d", got, misses)
-	}
-	if got := promValue(t, body, `pqo_env_pool_gets_total{template="q"}`); got == 0 {
-		t.Error("/metrics env pool gets = 0, want > 0")
-	}
-
-	w = httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
-	var rows []StatsRow
-	if err := json.Unmarshal(w.Body.Bytes(), &rows); err != nil {
-		t.Fatalf("/stats: %v", err)
-	}
-	if len(rows) != 1 || rows[0].RecostCacheHits != hits {
-		t.Errorf("/stats recost cache hits = %+v, want %d", rows, hits)
+	if got := promValue(t, w.Body.String(), `pqo_env_pool_gets_total{template="q"}`); got != gets {
+		t.Errorf("/metrics env pool gets = %d, want %d", got, gets)
 	}
 }
 
@@ -480,6 +459,47 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if _, err := http.Post(url+"/v1/plan", "application/json", bytes.NewReader(body)); err == nil {
 		t.Error("server still accepting connections after shutdown")
+	}
+}
+
+// TestServeSetsGCPercent: Serve paces the collector at servingGCPercent
+// unless the operator set GOGC, whose value then stands.
+func TestServeSetsGCPercent(t *testing.T) {
+	prev := debug.SetGCPercent(100)
+	t.Cleanup(func() { debug.SetGCPercent(prev) })
+	for _, tc := range []struct {
+		gogc string
+		want int
+	}{
+		{"", servingGCPercent},
+		{"150", 150},
+	} {
+		t.Setenv("GOGC", tc.gogc)
+		if tc.gogc != "" {
+			debug.SetGCPercent(tc.want)
+		}
+		s, _ := newTestServer(t, Config{})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveErr := make(chan error, 1)
+		go func() { serveErr <- s.Serve(ln) }()
+		// An answered request means Serve has run past its GC setting.
+		resp, err := http.Get("http://" + ln.Addr().String() + "/v1/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+		cancel()
+		<-serveErr
+		if got := debug.SetGCPercent(100); got != tc.want {
+			t.Errorf("GOGC=%q: GC percent after Serve = %d, want %d", tc.gogc, got, tc.want)
+		}
 	}
 }
 

@@ -70,6 +70,9 @@ case "${1:-}" in
     # Recost cost or allocations shows up here in seconds (docs/PERF.md).
     go test ./internal/memo/ -run '^$' -benchtime 100x -benchmem \
         -bench 'BenchmarkOptimize$|BenchmarkRecost$'
+    # A cost check's recosts through the engine: one PrepareRecost plus 8
+    # cached plans (PERF.md "Recost without a result cache"). Report only.
+    go test ./internal/engine/ -run '^$' -benchmem -bench 'BenchmarkPreparedRecost$'
     # The /v1/plan handler in process: decode, checks, encode (PERF.md
     # "The /v1/plan handler"); TestPlanHandlerAllocBudget pins its allocs.
     go test ./internal/server/ -run '^$' -benchmem -bench 'BenchmarkPlanHandler$'
