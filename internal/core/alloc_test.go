@@ -11,8 +11,8 @@ import (
 
 // TestProcessHitPathAllocBudget pins the allocation budget of the serving
 // hot path: Process on a warm cache served by the selectivity check. The
-// budget covers the Decision value; the candidate list is allocated lazily
-// and never materializes on a selectivity-check hit.
+// budget covers the Decision value; a selectivity-check hit returns before
+// the cost check's candidate list is set up.
 func TestProcessHitPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -47,5 +47,58 @@ func TestProcessHitPathAllocBudget(t *testing.T) {
 	})
 	if allocs > budget {
 		t.Errorf("Process hit path allocates %.1f per run, budget %d", allocs, budget)
+	}
+}
+
+// TestProcessCostCheckAllocBudget pins the allocation budget of a
+// cost-check hit: Process on an instance that fails the selectivity check
+// and is served by recosting a cached plan. The budget covers the Decision
+// value; with the default cost-check limit the candidate list lives in
+// getPlan's frame.
+func TestProcessCostCheckAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	rng := rand.New(rand.NewSource(3))
+	eng, err := pqotest.RandomEngine(rng, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scr, err := core.New(eng, core.WithLambda(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var sv []float64
+	for i := 0; i < 1000 && sv == nil; i++ {
+		v := pqotest.RandomSVector(rng, 4)
+		switch scr.ProbeCheck(v) {
+		case core.ViaCost:
+			sv = v
+		case core.ViaOptimizer:
+			if _, err := scr.Process(ctx, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if sv == nil {
+		t.Fatal("no instance served by the cost check in 1000 draws")
+	}
+	dec, err := scr.Process(ctx, sv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Via != core.ViaCost {
+		t.Fatalf("probed cost-check instance served via %s", dec.Via)
+	}
+
+	const budget = 1
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := scr.Process(ctx, sv); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > budget {
+		t.Errorf("Process cost-check hit allocates %.1f per run, budget %d", allocs, budget)
 	}
 }

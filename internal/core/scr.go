@@ -769,9 +769,14 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot, pr
 	if capHint > len(insts) {
 		capHint = len(insts)
 	}
-	// cands is allocated lazily on first insert: a selectivity-check hit —
-	// the overwhelmingly common outcome on a warm cache — pays nothing.
-	var cands []cand
+	// cands lives in a fixed array in this frame when the limit fits it,
+	// as the default of 8 does, so a cost check allocates no list. A
+	// larger limit allocates the list on first insert.
+	var buf [8]cand
+	cands := buf[:0]
+	if capHint > len(buf) {
+		cands = nil
+	}
 	key := func(c cand) float64 { return c.gl }
 	if s.cfg.orderByL {
 		key = func(c cand) float64 { return c.l }

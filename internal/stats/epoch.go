@@ -30,21 +30,22 @@ type Epoch struct {
 	// Store is the statistics snapshot of this generation.
 	Store *Store
 	// born maps a "table.column" key to the id of the epoch that installed
-	// the column's current histogram. Columns absent from the map were
+	// the column's current cell. Columns absent from the map were
 	// born at epoch 1, so the first epoch needs no map at all.
 	born map[string]uint64
 }
 
 // Next returns the epoch that follows e with st as its store. A column
-// whose histogram pointer is unchanged keeps its birth epoch; every other
-// column is born at the new id. Store.Apply shares untouched histograms,
+// whose cell is unchanged keeps its birth epoch; every other column is
+// born at the new id. Store.Apply shares the cells a delta does not name,
 // so a delta moves exactly the columns it names, while a resampled store
-// moves every column — conservative, never stale.
+// moves every column — conservative, never stale. Cells compare whether or
+// not their histograms have been built, so Next builds nothing.
 func (e *Epoch) Next(st *Store) *Epoch {
 	next := &Epoch{ID: e.ID + 1, Store: st}
-	for k, h := range st.hists {
+	for k, c := range st.cells {
 		born := next.ID
-		if e.Store != nil && e.Store.hists[k] == h {
+		if e.Store != nil && e.Store.cells[k] == c {
 			born = e.born[k]
 		}
 		if born > 1 {
@@ -86,22 +87,23 @@ type HistogramDelta struct {
 }
 
 // Apply derives a new Store from s with the given histogram deltas
-// applied. The receiver is not modified: unchanged histograms are shared
-// structurally (they are immutable), so a delta touching one column copies
-// only the map, never the per-column data. Every delta must name a column
-// the store already has a histogram for — a delta cannot invent columns the
-// catalog does not know.
+// applied. The receiver is not modified: the cells a delta does not name
+// are shared, built or not, so a delta touching one column copies only
+// the map, never the per-column data, and reads nothing. Each delta's
+// histogram is installed as an already-built cell. Every delta must name a
+// column the store holds — a delta cannot invent columns the catalog does
+// not know.
 func (s *Store) Apply(deltas []HistogramDelta) (*Store, error) {
 	if len(deltas) == 0 {
 		return nil, fmt.Errorf("stats: empty delta")
 	}
-	next := &Store{cat: s.cat, hists: make(map[string]*Histogram, len(s.hists))}
-	for k, h := range s.hists {
-		next.hists[k] = h
+	next := &Store{cells: make(map[string]*cell, len(s.cells))}
+	for k, c := range s.cells {
+		next.cells[k] = c
 	}
 	for _, d := range deltas {
 		key := d.Table + "." + d.Column
-		if _, ok := s.hists[key]; !ok {
+		if _, ok := s.cells[key]; !ok {
 			return nil, fmt.Errorf("stats: delta for unknown column %s", key)
 		}
 		if len(d.Values) == 0 {
@@ -117,16 +119,16 @@ func (s *Store) Apply(deltas []HistogramDelta) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stats: delta for %s: %w", key, err)
 		}
-		next.hists[key] = h
+		next.cells[key] = builtCell(h)
 	}
 	return next, nil
 }
 
-// Columns lists every "table.column" key the store holds a histogram for,
+// Columns lists every "table.column" key the store holds, read or not,
 // sorted for deterministic output.
 func (s *Store) Columns() []string {
-	keys := make([]string, 0, len(s.hists))
-	for k := range s.hists {
+	keys := make([]string, 0, len(s.cells))
+	for k := range s.cells {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

@@ -102,3 +102,19 @@ func TestSuiteTemplatesOptimizeAndShowPlanDiversity(t *testing.T) {
 	}
 	t.Logf("plan diversity: %d/%d templates with >= 2 optimal plans", diverse, len(entries))
 }
+
+// BenchmarkNewSystems measures set-up: the four evaluation systems plus
+// the 90-template suite over them. Statistics are built on first read, so
+// this is catalog, optimizer and template construction.
+func BenchmarkNewSystems(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys, err := NewSystems(int64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Build(sys); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -27,7 +27,7 @@ go build ./...
 go test -shuffle=on ./...
 go test -race ./internal/core/ ./internal/server/ ./internal/engine/ \
     ./internal/baselines/ ./internal/harness/ ./internal/memo/ \
-    ./internal/faultinject/ ./internal/cluster/
+    ./internal/faultinject/ ./internal/cluster/ ./internal/stats/
 # planbench is its own module (it replaces repro with this tree), so
 # ./... above does not reach it. Its self-tests include the λ oracle's
 # (e.g. TestChurnOracleSeesStalePlans), which gate any change to epoch
@@ -77,6 +77,11 @@ case "${1:-}" in
     # "The /v1/plan handler"); TestPlanHandlerAllocBudget pins its allocs.
     go test ./internal/server/ -run '^$' -benchmem -bench 'BenchmarkPlanHandler$'
     go test ./internal/server/ -run '^$' -bench BenchmarkServerParallel -cpu 8
+    # Set-up: the four systems plus the 90-template suite, and the first
+    # read of one column's histogram, where the sampling cost now lands
+    # (PERF.md "Set-up: statistics on demand"). Report only.
+    go test ./internal/suite/ -run '^$' -benchmem -bench 'BenchmarkNewSystems$'
+    go test ./internal/stats/ -run '^$' -benchmem -bench 'BenchmarkColumnHistogram$'
     # Every gate below compares two numbers taken in this run, so none
     # depends on the host's speed.
     HI=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
