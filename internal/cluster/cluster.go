@@ -233,9 +233,13 @@ type Coordinator struct {
 	order []string
 	epoch uint64
 	// history records every assigned generation's payload for catch-up
-	// replay of quarantined members. It grows with the epoch count; an
-	// operator restarting the coordinator restarts history (members ahead
-	// of it are resynchronized via their reported epochs).
+	// replay of lagging, quarantined and restarted members. It grows with
+	// the epoch count, and acknowledged payloads cannot be dropped: a
+	// member that restarts comes back at its initial generation, below
+	// what it acknowledged, and pushNode's ErrEpochGap resync replays it
+	// from there (TestRestartedMemberCatchesUp). An operator restarting
+	// the coordinator restarts history (members ahead of it are
+	// resynchronized via their reported epochs).
 	history map[uint64]Payload
 
 	pushRetries atomic.Int64

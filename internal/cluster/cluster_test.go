@@ -262,6 +262,56 @@ func TestQuarantineAndRejoin(t *testing.T) {
 	}
 }
 
+// swapHandler serves through whichever handler it holds, so a test can
+// replace a member's process behind an unchanged URL.
+type swapHandler struct{ h atomic.Value }
+
+func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.h.Load().(http.Handler).ServeHTTP(w, r)
+}
+
+// TestRestartedMemberCatchesUp restarts a member after the whole fleet
+// acknowledged several generations: the new process is back at its
+// initial generation, below what the coordinator recorded, and the next
+// advance must replay it from there through the ErrEpochGap resync. This
+// is why the coordinator keeps acknowledged payloads.
+func TestRestartedMemberCatchesUp(t *testing.T) {
+	tsA, _, _ := newMember(t)
+	_, _, gB := newMember(t)
+	sw := &swapHandler{}
+	sw.h.Store(http.Handler(gB))
+	tsB := httptest.NewServer(sw)
+	t.Cleanup(tsB.Close)
+	c, err := New(fastConfig(tsA.URL, tsB.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for gen := uint64(2); gen <= 4; gen++ {
+		if id, err := c.Advance(ctx, seedPayload(int64(90+gen))); err != nil || id != gen {
+			t.Fatalf("advance to %d = (%d, %v)", gen, id, err)
+		}
+	}
+
+	_, _, restarted := newMember(t)
+	sw.h.Store(http.Handler(restarted))
+	if id, err := c.Advance(ctx, seedPayload(95)); err != nil || id != 5 {
+		t.Fatalf("advance after the restart = (%d, %v), want (5, nil)", id, err)
+	}
+	st, err := c.rpcClusterStatus(ctx, tsB.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Epoch != 5 {
+		t.Errorf("restarted member at epoch %d, want 5 after replaying 2..5", st.Epoch)
+	}
+	for _, m := range c.Members() {
+		if m.State != StateHealthy || m.Acked != 5 {
+			t.Errorf("member %s = %+v, want healthy at 5", m.URL, m)
+		}
+	}
+}
+
 // TestPushSurvivesLossyTransport runs advances through a faulty transport
 // that drops requests, drops responses (forcing duplicate deliveries into
 // the idempotent member endpoint) and injects latency; the retry loop must

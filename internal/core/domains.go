@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -127,21 +126,18 @@ func (d *Directory) Len() int { return len(d.snap.Load().names) }
 // Revalidate cannot do. Domains whose engine has no epoch lifecycle are
 // skipped. The returned handles are keyed by template name; each
 // completes independently as its own domain's lag drains.
-func (d *Directory) Revalidate(ctx context.Context, workers int) (map[string]*Revalidation, error) {
+func (d *Directory) Revalidate(ctx context.Context, workers int) map[string]*Revalidation {
 	snap := d.snap.Load()
 	out := make(map[string]*Revalidation, len(snap.names))
 	jobs := make([]*revalJob, 0, len(snap.names))
 	for i, name := range snap.names {
-		j, err := snap.scrs[i].prepareReval(ctx)
-		if err != nil {
-			if errors.Is(err, ErrEpochUnsupported) {
-				continue
-			}
-			return nil, fmt.Errorf("core: revalidating template %q: %w", name, err)
+		j, ok := snap.scrs[i].prepareReval(ctx)
+		if !ok {
+			continue
 		}
 		out[name] = j.r
 		jobs = append(jobs, j)
 	}
 	runReval(jobs, workers)
-	return out, nil
+	return out
 }

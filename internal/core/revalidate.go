@@ -27,7 +27,9 @@ const DefaultRevalidationWorkers = 2
 
 // Revalidation is a handle on one background revalidation run. All
 // methods are safe for concurrent use; counters advance while workers
-// run and freeze when the run finishes or is superseded.
+// run and freeze when the run finishes or is superseded. A finished
+// run's Progress is final: nothing, a later supersession included,
+// changes it.
 type Revalidation struct {
 	target uint64
 	total  int64
@@ -38,11 +40,30 @@ type Revalidation struct {
 	droppedI   atomic.Int64
 	droppedP   atomic.Int64
 	failed     atomic.Int64
-	superseded atomic.Bool
+	// state is runActive until the run either completes or is superseded,
+	// whichever comes first; the loser's transition is a no-op.
+	state atomic.Uint32
 
+	// finished closes when the run stops doing work. A run with nothing
+	// to revalidate is born finished: it shares closedRun and has no
+	// context, so cancel is nil.
 	finished chan struct{}
 	cancel   context.CancelFunc
 }
+
+// Run states (Revalidation.state).
+const (
+	runActive uint32 = iota
+	runCompleted
+	runSuperseded
+)
+
+// closedRun is the Done channel of every run with nothing to revalidate.
+var closedRun = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // RevalidationProgress is a point-in-time snapshot of a run's counters.
 type RevalidationProgress struct {
@@ -66,9 +87,11 @@ type RevalidationProgress struct {
 	DroppedInstances int64 `json:"droppedInstances"`
 	DroppedPlans     int64 `json:"droppedPlans"`
 	Failed           int64 `json:"failed"`
-	// Superseded reports the run was abandoned because the epoch advanced
-	// past its target (a newer run owns the remaining lag). Finished
-	// reports the run is no longer doing work, for either reason.
+	// Superseded reports the run was stopped early because the epoch
+	// advanced past its target (a newer run owns the remaining lag); a
+	// run that finished its work first never becomes superseded.
+	// Finished reports the run is no longer doing work, for either
+	// reason.
 	Superseded bool `json:"superseded"`
 	Finished   bool `json:"finished"`
 }
@@ -87,7 +110,7 @@ func (r *Revalidation) Progress() RevalidationProgress {
 		DroppedInstances: r.droppedI.Load(),
 		DroppedPlans:     r.droppedP.Load(),
 		Failed:           r.failed.Load(),
-		Superseded:       r.superseded.Load(),
+		Superseded:       r.state.Load() == runSuperseded,
 	}
 	select {
 	case <-r.finished:
@@ -110,10 +133,12 @@ func (r *Revalidation) Wait(ctx context.Context) error {
 	}
 }
 
-// supersede marks the run abandoned and stops its workers.
+// supersede marks a still-active run abandoned and stops its workers; on
+// a run that already completed it does nothing.
 func (r *Revalidation) supersede() {
-	r.superseded.Store(true)
-	r.cancel()
+	if r.state.CompareAndSwap(runActive, runSuperseded) {
+		r.cancel()
+	}
 }
 
 // CurrentRevalidation returns the most recent revalidation run (possibly
@@ -136,9 +161,9 @@ func (s *SCR) CurrentRevalidation() *Revalidation { return s.reval.Load() }
 // walks every attached domain through one shared pool with usage-weighted
 // cross-domain ordering (domains.go).
 func (s *SCR) Revalidate(ctx context.Context, workers int) (*Revalidation, error) {
-	j, err := s.prepareReval(ctx)
-	if err != nil {
-		return nil, err
+	j, ok := s.prepareReval(ctx)
+	if !ok {
+		return nil, ErrEpochUnsupported
 	}
 	runReval([]*revalJob{j}, workers)
 	return j.r, nil
@@ -161,17 +186,18 @@ type revalJob struct {
 	// call.
 	usage int64
 	// left counts entries not yet finished or abandoned; the run
-	// completes when it reaches zero.
+	// completes when it reaches zero, which exactly one decrement sees.
 	left atomic.Int64
-	once sync.Once
 }
 
 // prepareReval snapshots one domain's lagging entries into a revalJob and
 // installs its Revalidation handle (superseding any in-flight run). A
-// domain with nothing lagging yields an already-finished job.
-func (s *SCR) prepareReval(ctx context.Context) (*revalJob, error) {
+// domain with nothing lagging yields an already-finished job that holds
+// no context. It reports false, and does nothing, for a domain whose
+// engine has no epoch lifecycle.
+func (s *SCR) prepareReval(ctx context.Context) (*revalJob, bool) {
 	if s.epochEng == nil {
-		return nil, ErrEpochUnsupported
+		return nil, false
 	}
 	target := s.costEpoch()
 	insts := s.snapshot().instances
@@ -192,25 +218,23 @@ func (s *SCR) prepareReval(ctx context.Context) (*revalJob, error) {
 		return lag[i].pp.fp < lag[j].pp.fp
 	})
 
-	rctx, cancel := context.WithCancel(ctx)
-	r := &Revalidation{
-		target:   target,
-		total:    int64(len(lag)),
-		finished: make(chan struct{}),
-		cancel:   cancel,
+	r := &Revalidation{target: target, total: int64(len(lag))}
+	j := &revalJob{s: s, r: r, lag: lag}
+	if len(lag) == 0 {
+		r.state.Store(runCompleted)
+		r.finished = closedRun
+	} else {
+		j.ctx, r.cancel = context.WithCancel(ctx)
+		r.finished = make(chan struct{})
+		j.left.Store(int64(len(lag)))
+		for _, e := range lag {
+			j.usage += e.u.Load()
+		}
 	}
 	if prev := s.reval.Swap(r); prev != nil {
 		prev.supersede()
 	}
-	j := &revalJob{s: s, r: r, ctx: rctx, lag: lag}
-	j.left.Store(int64(len(lag)))
-	for _, e := range lag {
-		j.usage += e.u.Load()
-	}
-	if len(lag) == 0 {
-		j.complete()
-	}
-	return j, nil
+	return j, true
 }
 
 // finishOne accounts one dispatched entry as processed.
@@ -230,13 +254,13 @@ func (j *revalJob) abandon(k int) {
 	}
 }
 
-// complete finishes the job's run exactly once: the context is cancelled
-// (releasing any resources) and the handle's Done channel closes.
+// complete finishes the job's run: unless it was superseded first, its
+// progress is final from here on; the context is cancelled (releasing
+// any resources) and the handle's Done channel closes.
 func (j *revalJob) complete() {
-	j.once.Do(func() {
-		j.r.cancel()
-		close(j.r.finished)
-	})
+	j.r.state.CompareAndSwap(runActive, runCompleted)
+	j.r.cancel()
+	close(j.r.finished)
 }
 
 // revalItem is one unit of shared-pool work: an entry and the job it

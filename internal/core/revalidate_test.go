@@ -246,6 +246,55 @@ func TestRevalidateSuperseded(t *testing.T) {
 	}
 }
 
+// TestFinishedRunIsNotSuperseded pins that a finished run's progress is
+// final: a later run supersedes only work still in flight, so a drained
+// run never turns "superseded", and neither does a run that found nothing
+// to revalidate.
+func TestFinishedRunIsNotSuperseded(t *testing.T) {
+	s, eng := epochSCR(t)
+	ctx := context.Background()
+	for _, sv := range [][]float64{{0.01, 0.9}, {0.9, 0.01}, {0.05, 0.8}} {
+		if _, err := s.Process(ctx, sv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Advance()
+	drained, err := s.Revalidate(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := drained.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	final := drained.Progress()
+	if !final.Finished || final.Superseded || final.Total == 0 || final.Done != final.Total {
+		t.Fatalf("drained run = %+v, want finished work, not superseded", final)
+	}
+	idle, err := s.Revalidate(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idleFinal := idle.Progress()
+	if want := (RevalidationProgress{TargetEpoch: 2, Finished: true}); idleFinal != want {
+		t.Fatalf("no-lag run = %+v, want %+v", idleFinal, want)
+	}
+
+	eng.Advance()
+	next, err := s.Revalidate(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := next.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := drained.Progress(); got != final {
+		t.Errorf("drained run changed after a later run: %+v, was %+v", got, final)
+	}
+	if got := idle.Progress(); got != idleFinal {
+		t.Errorf("no-lag run changed after a later run: %+v, was %+v", got, idleFinal)
+	}
+}
+
 func TestRevalidateRequiresEpochEngine(t *testing.T) {
 	s := mustSCR(t, twoPlaneEngine(t), WithLambda(2))
 	if _, err := s.Revalidate(context.Background(), 1); err == nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -26,7 +27,12 @@ import (
 type adminState struct {
 	mu  sync.Mutex
 	sys *pqo.System
-	log []*epochRecord
+	// log holds one record per generation; records are immutable, and
+	// compaction replaces a record rather than changing it, so readers
+	// may use the pointers they copied out after releasing mu. Every
+	// record before log[live] is compact.
+	log  []*epochRecord
+	live int
 	// installMu serializes whole generation installs (admin- and
 	// cluster-initiated): the read-current-epoch / build-store / advance
 	// sequence must be atomic so concurrent installs cannot interleave
@@ -36,16 +42,77 @@ type adminState struct {
 	installMu sync.Mutex
 }
 
-// epochRecord is one entry of the epoch log.
+// epochRecord is one entry of the epoch log. While any of its
+// revalidation runs is still working it holds their handles; once all
+// have finished, compaction swaps it for a record that keeps only what
+// /v1/admin/epochs prints, so an advance leaves behind memory in
+// proportion to what it changed rather than to the template count.
 type epochRecord struct {
 	id      uint64
 	reason  string   // "initial", "delta", "resample", "cluster-delta" or "cluster-resample"
 	columns []string // refreshed columns, delta advances only
 	at      time.Time
-	// revals holds the per-template revalidation runs this advance
-	// started; their counters freeze once the run finishes or a later
-	// advance supersedes it.
-	revals map[string]*pqo.Revalidation
+	// names lists, ascending, the templates this advance started
+	// revalidation runs for; consecutive records share one slice while
+	// the set is unchanged.
+	names []string
+	// runs holds the runs, parallel to names, until the record compacts.
+	runs []*pqo.Revalidation
+	// targets (parallel to names) and worked are the compact form: each
+	// run's target epoch, and the final progress of every run that did
+	// more than find nothing lagging.
+	targets []uint64
+	worked  []workedRun
+}
+
+// workedRun is a compacted run's final progress; i indexes its record's
+// names.
+type workedRun struct {
+	i int
+	p pqo.RevalidationProgress
+}
+
+// idleProgress is the final progress of a run that found nothing to
+// revalidate.
+func idleProgress(target uint64) pqo.RevalidationProgress {
+	return pqo.RevalidationProgress{TargetEpoch: target, Finished: true}
+}
+
+// progress returns the revalidation progress of the record's i-th run.
+func (rec *epochRecord) progress(i int) pqo.RevalidationProgress {
+	if rec.runs != nil {
+		return rec.runs[i].Progress()
+	}
+	for _, w := range rec.worked {
+		if w.i == i {
+			return w.p
+		}
+	}
+	return idleProgress(rec.targets[i])
+}
+
+// compacted returns rec's compact form, or nil while any of its runs is
+// still working. A finished run's progress is final, so the compact form
+// reports exactly what the handles would.
+func (rec *epochRecord) compacted() *epochRecord {
+	for _, run := range rec.runs {
+		select {
+		case <-run.Done():
+		default:
+			return nil
+		}
+	}
+	c := *rec
+	c.runs = nil
+	c.targets = make([]uint64, len(rec.runs))
+	for i, run := range rec.runs {
+		p := run.Progress()
+		c.targets[i] = p.TargetEpoch
+		if p != idleProgress(p.TargetEpoch) {
+			c.worked = append(c.worked, workedRun{i: i, p: p})
+		}
+	}
+	return &c
 }
 
 // SetSystem attaches the database system whose statistics the admin
@@ -62,11 +129,45 @@ func (s *Server) SetSystem(sys *pqo.System) {
 	})
 }
 
-// appendEpochRecord appends one entry to the epoch log.
-func (s *Server) appendEpochRecord(rec *epochRecord) {
+// appendEpochRecord appends the record of an advance that started the
+// given runs, first compacting every record whose runs have all
+// finished.
+func (s *Server) appendEpochRecord(rec *epochRecord, revals map[string]*pqo.Revalidation) {
 	s.admin.mu.Lock()
 	defer s.admin.mu.Unlock()
+	s.compactEpochLogLocked()
+	if len(revals) > 0 {
+		rec.names = make([]string, 0, len(revals))
+		for name := range revals {
+			rec.names = append(rec.names, name)
+		}
+		sort.Strings(rec.names)
+		if n := len(s.admin.log); n > 0 && slices.Equal(s.admin.log[n-1].names, rec.names) {
+			rec.names = s.admin.log[n-1].names
+		}
+		rec.runs = make([]*pqo.Revalidation, len(rec.names))
+		for i, name := range rec.names {
+			rec.runs[i] = revals[name]
+		}
+	}
 	s.admin.log = append(s.admin.log, rec)
+}
+
+// compactEpochLogLocked replaces every record whose runs have all
+// finished with its compact form. Callers hold s.admin.mu.
+func (s *Server) compactEpochLogLocked() {
+	log := s.admin.log
+	for i := s.admin.live; i < len(log); i++ {
+		if log[i].runs == nil {
+			continue
+		}
+		if c := log[i].compacted(); c != nil {
+			log[i] = c
+		}
+	}
+	for s.admin.live < len(log) && log[s.admin.live].runs == nil {
+		s.admin.live++
+	}
 }
 
 // system returns the attached system, or nil.
@@ -182,15 +283,10 @@ func (s *Server) advanceGeneration(ctx context.Context, sys *pqo.System, reasonP
 	// first) and cheapest-first within each; templates over engines with
 	// no epoch lifecycle are skipped inside.
 	detached := context.WithoutCancel(ctx)
-	revals, err := s.dir.Revalidate(detached, workers)
-	if err != nil {
-		return nil, http.StatusInternalServerError, "", err
-	}
+	revals := s.dir.Revalidate(detached, workers)
 	s.logf("revalidation started for %d of %d templates", len(revals), s.dir.Len())
 
-	s.appendEpochRecord(&epochRecord{
-		id: ep.ID, reason: reason, columns: columns, at: time.Now(), revals: revals,
-	})
+	s.appendEpochRecord(&epochRecord{id: ep.ID, reason: reason, columns: columns, at: time.Now()}, revals)
 	return &advanceOutcome{epoch: ep.ID, revals: revals}, 0, "", nil
 }
 
@@ -228,10 +324,10 @@ func (s *Server) handleAdminEpochs(w http.ResponseWriter, _ *http.Request) {
 			Epoch: rec.id, Reason: rec.reason, Columns: rec.columns,
 			AdvancedAt: rec.at, Current: rec.id == cur,
 		}
-		if len(rec.revals) > 0 {
-			info.Revalidation = make(map[string]pqo.RevalidationProgress, len(rec.revals))
-			for name, run := range rec.revals {
-				info.Revalidation[name] = run.Progress()
+		if len(rec.names) > 0 {
+			info.Revalidation = make(map[string]pqo.RevalidationProgress, len(rec.names))
+			for i, name := range rec.names {
+				info.Revalidation[name] = rec.progress(i)
 			}
 		}
 		out = append(out, info)

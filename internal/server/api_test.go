@@ -311,6 +311,12 @@ func TestAdminStatsLifecycle(t *testing.T) {
 	if cols0 := log[2].Columns; len(cols0) != 1 || cols0[0] != "orders.o_orderdate" {
 		t.Errorf("delta record columns = %v, want [orders.o_orderdate]", cols0)
 	}
+	// q3's resample run was drained before the delta advance: the later
+	// run leaves its final progress alone instead of marking it
+	// superseded.
+	if p := log[1].Revalidation["q3"]; p.Superseded || !p.Finished || p.Total == 0 || p.Done != p.Total {
+		t.Errorf("drained epoch-2 run of q3 after the next advance = %+v, want finished, not superseded", p)
+	}
 
 	// Serving still works once revalidation has caught the caches up: q3
 	// states the new epoch, q1 and q2 still state epoch 1 (their costs

@@ -1,8 +1,8 @@
 package server
 
 import (
-	"fmt"
-	"io"
+	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -43,19 +43,33 @@ func (h *latencyHist) observe(d time.Duration) {
 // bucketBound returns bucket i's upper bound in seconds.
 func bucketBound(i int) float64 { return float64(int64(1)<<i) / 1e6 }
 
-// writeProm writes the histogram in Prometheus text format (cumulative
-// buckets, _sum and _count series) under the given metric name and label
-// set.
-func (h *latencyHist) writeProm(w io.Writer, name, labels string) {
+// appendProm appends the histogram in Prometheus text format (cumulative
+// buckets, _sum and _count series) under the given metric name; labels
+// is the rendered label set without braces.
+func (h *latencyHist) appendProm(b []byte, name string, labels []byte) []byte {
+	series := func(b []byte, suffix string) []byte {
+		b = append(b, name...)
+		b = append(b, suffix...)
+		b = append(b, '{')
+		return append(b, labels...)
+	}
 	cum := int64(0)
 	for i := 0; i < histBuckets; i++ {
 		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{%s,le=\"%g\"} %d\n", name, labels, bucketBound(i), cum)
+		b = append(series(b, "_bucket"), `,le="`...)
+		b = strconv.AppendFloat(b, bucketBound(i), 'g', -1, 64)
+		b = append(b, `"} `...)
+		b = strconv.AppendInt(b, cum, 10)
+		b = append(b, '\n')
 	}
 	cum += h.overflow.Load()
-	fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, cum)
-	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, float64(h.sumNanos.Load())/1e9)
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, h.count.Load())
+	b = append(series(b, "_bucket"), `,le="+Inf"} `...)
+	b = strconv.AppendInt(b, cum, 10)
+	b = append(series(append(b, '\n'), "_sum"), "} "...)
+	b = strconv.AppendFloat(b, float64(h.sumNanos.Load())/1e9, 'g', -1, 64)
+	b = append(series(append(b, '\n'), "_count"), "} "...)
+	b = strconv.AppendInt(b, h.count.Load(), 10)
+	return append(b, '\n')
 }
 
 // checkLabels are the decision provenances a /plan request can resolve
@@ -70,119 +84,172 @@ const (
 	histDegraded
 )
 
-// writeMetrics renders every registered template's counters and latency
-// histograms in Prometheus text exposition format. Each template's Stats
-// are read exactly once per scrape: every series of one template,
-// pqo_epoch_lag_seconds included, comes from the same reading.
-func (s *Server) writeMetrics(w io.Writer) {
-	entries := s.snapshotEntries()
-	stats := make([]statsSnapshot, len(entries))
-	for i, e := range entries {
-		stats[i] = e.scr.Stats()
-	}
+// scalarSeries are the per-template series rendered from each template's
+// Stats reading; value appends the sample.
+var scalarSeries = [...]struct {
+	metric, help string
+	value        func(b []byte, st *statsSnapshot) []byte
+}{
+	{"pqo_instances_total", "Query instances processed per template.",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.Instances, 10) }},
+	{"pqo_opt_calls_total", "Full optimizer calls (numOpt).",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.OptCalls, 10) }},
+	{"pqo_shared_opt_calls_total", "Instances served by joining another caller's in-flight optimizer call.",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.SharedOptCalls, 10) }},
+	{"pqo_read_path_hits_total", "Cache hits served by the lock-free snapshot read path.",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.ReadPathHits, 10) }},
+	{"pqo_write_path_hits_total", "Cache hits served by the second-chance check on the miss path.",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.WritePathHits, 10) }},
+	{"pqo_getplan_recosts_total", "Recost calls on the critical path (cost check).",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.GetPlanRecosts, 10) }},
+	{"pqo_env_pool_gets_total", "Pooled selectivity environments handed out.",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.EnvPoolGets, 10) }},
+	{"pqo_env_pool_reuses_total", "Pooled selectivity environments reused from the pool.",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.EnvPoolReuses, 10) }},
+	{"pqo_plans", "Plans currently cached.",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, int64(st.CurPlans), 10) }},
+	{"pqo_plan_cache_bytes", "Estimated plan-cache memory.",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, int64(st.MemoryBytes), 10) }},
+	{"pqo_bcg_violations_total", "BCG violations detected (Appendix G).",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.Violations, 10) }},
+	{"pqo_evictions_total", "Plans evicted to enforce the plan budget.",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.Evictions, 10) }},
+	{"pqo_degraded_total", "Decisions served without the λ guarantee (degraded fallback).",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.DegradedDecisions, 10) }},
+	{"pqo_read_path_errors_total", "Read-path faults absorbed by falling through to the optimizer path.",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.ReadPathErrors, 10) }},
+	{"pqo_breaker_state", "Optimizer circuit breaker state (0=closed, 1=open, 2=half-open).",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, int64(st.BreakerState), 10) }},
+	{"pqo_injected_faults_total", "Faults injected by the fault-injection harness (0 in production).",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.InjectedFaults, 10) }},
+	{"pqo_stats_epoch", "Current statistics epoch id (0 = epoch-less engine).",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendUint(b, st.StatsEpoch, 10) }},
+	{"pqo_cluster_epoch_observed", "Highest cluster statistics generation observed from the coordinator (0 = none).",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendUint(b, st.ClusterEpoch, 10) }},
+	{"pqo_cluster_epoch_skew", "Generations this node's statistics epoch lags the observed cluster epoch.",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendUint(b, st.EpochSkew, 10) }},
+	{"pqo_epoch_skew_flagged_total", "Decisions served flagged because the node exceeded the cluster skew bound.",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.EpochSkewFlagged, 10) }},
+	{"pqo_lagging_instances", "Cached instance anchors awaiting revalidation: behind the template's current cost epoch.",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.LaggingInstances, 10) }},
+	{"pqo_revalidated_plans_total", "Anchors re-derived under a new statistics epoch by background revalidation.",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.RevalidatedPlans, 10) }},
+	{"pqo_epoch_lag_fallbacks_total", "Instances served flagged because their candidates lagged the template's current cost epoch.",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.EpochLagFallbacks, 10) }},
+	{"pqo_writer_wait_seconds_total", "Time writers waited to acquire this template's write-domain mutex.",
+		func(b []byte, st *statsSnapshot) []byte {
+			return strconv.AppendFloat(b, st.WriteLockWait.Seconds(), 'g', -1, 64)
+		}},
+	{"pqo_publish_total", "RCU snapshot publications for this template's write domain.",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.PublishTotal, 10) }},
+	{"pqo_publish_coalesced_total", "Publication marks absorbed into a batched flush instead of publishing their own snapshot.",
+		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.PublishCoalesced, 10) }},
+}
 
-	fmt.Fprintln(w, "# HELP pqo_instances_total Query instances processed per template.")
-	fmt.Fprintln(w, "# TYPE pqo_instances_total counter")
-	for i, e := range entries {
-		fmt.Fprintf(w, "pqo_instances_total{template=%q} %d\n", e.name, stats[i].Instances)
-	}
+// metricsScrape is what one /v1/metrics scrape renders: the registered
+// templates, sorted by name, with one Stats reading each (every series of
+// one template, pqo_epoch_lag_seconds included, comes from the same
+// reading), and the server-wide gauges.
+type metricsScrape struct {
+	entries []*entry
+	stats   []statsSnapshot
+	domains int
+	shed    int64
+	lag     float64
+}
 
-	type scalar struct {
-		metric, help string
-		value        func(st statsSnapshot) string
+// readMetrics takes the readings one scrape renders.
+func (s *Server) readMetrics() *metricsScrape {
+	m := &metricsScrape{entries: s.snapshotEntries(), domains: s.dir.Len(), shed: s.shedTotal.Load()}
+	m.stats = make([]statsSnapshot, len(m.entries))
+	for i, e := range m.entries {
+		m.stats[i] = e.scr.Stats()
 	}
-	scalars := []scalar{
-		{"pqo_opt_calls_total", "Full optimizer calls (numOpt).",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.OptCalls) }},
-		{"pqo_shared_opt_calls_total", "Instances served by joining another caller's in-flight optimizer call.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.SharedOptCalls) }},
-		{"pqo_read_path_hits_total", "Cache hits served by the lock-free snapshot read path.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.ReadPathHits) }},
-		{"pqo_write_path_hits_total", "Cache hits served by the second-chance check on the miss path.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.WritePathHits) }},
-		{"pqo_getplan_recosts_total", "Recost calls on the critical path (cost check).",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.GetPlanRecosts) }},
-		{"pqo_env_pool_gets_total", "Pooled selectivity environments handed out.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.EnvPoolGets) }},
-		{"pqo_env_pool_reuses_total", "Pooled selectivity environments reused from the pool.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.EnvPoolReuses) }},
-		{"pqo_plans", "Plans currently cached.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.CurPlans) }},
-		{"pqo_plan_cache_bytes", "Estimated plan-cache memory.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.MemoryBytes) }},
-		{"pqo_bcg_violations_total", "BCG violations detected (Appendix G).",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.Violations) }},
-		{"pqo_evictions_total", "Plans evicted to enforce the plan budget.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.Evictions) }},
-		{"pqo_degraded_total", "Decisions served without the λ guarantee (degraded fallback).",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.DegradedDecisions) }},
-		{"pqo_read_path_errors_total", "Read-path faults absorbed by falling through to the optimizer path.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.ReadPathErrors) }},
-		{"pqo_breaker_state", "Optimizer circuit breaker state (0=closed, 1=open, 2=half-open).",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", int(st.BreakerState)) }},
-		{"pqo_injected_faults_total", "Faults injected by the fault-injection harness (0 in production).",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.InjectedFaults) }},
-		{"pqo_stats_epoch", "Current statistics epoch id (0 = epoch-less engine).",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.StatsEpoch) }},
-		{"pqo_cluster_epoch_observed", "Highest cluster statistics generation observed from the coordinator (0 = none).",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.ClusterEpoch) }},
-		{"pqo_cluster_epoch_skew", "Generations this node's statistics epoch lags the observed cluster epoch.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.EpochSkew) }},
-		{"pqo_epoch_skew_flagged_total", "Decisions served flagged because the node exceeded the cluster skew bound.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.EpochSkewFlagged) }},
-		{"pqo_lagging_instances", "Cached instance anchors awaiting revalidation: behind the template's current cost epoch.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.LaggingInstances) }},
-		{"pqo_revalidated_plans_total", "Anchors re-derived under a new statistics epoch by background revalidation.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.RevalidatedPlans) }},
-		{"pqo_epoch_lag_fallbacks_total", "Instances served flagged because their candidates lagged the template's current cost epoch.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.EpochLagFallbacks) }},
-		{"pqo_writer_wait_seconds_total", "Time writers waited to acquire this template's write-domain mutex.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%g", st.WriteLockWait.Seconds()) }},
-		{"pqo_publish_total", "RCU snapshot publications for this template's write domain.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.PublishTotal) }},
-		{"pqo_publish_coalesced_total", "Publication marks absorbed into a batched flush instead of publishing their own snapshot.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.PublishCoalesced) }},
-	}
-	for _, sc := range scalars {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", sc.metric, sc.help, sc.metric, promType(sc.metric))
-		for i, e := range entries {
-			fmt.Fprintf(w, "%s{template=%q} %s\n", sc.metric, e.name, sc.value(stats[i]))
+	m.lag = s.epochLagSeconds(m.stats)
+	return m
+}
+
+// handleMetrics renders the scrape into one buffer and writes it with its
+// Content-Length. The buffer is sized from the previous scrape's body, so
+// a steady scrape allocates it once; it is deliberately not pooled, as a
+// pooled buffer of a megabyte or more would stay live between scrapes.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	hint := s.scrapeBytes.Load()
+	body := s.readMetrics().appendTo(make([]byte, 0, hint+hint/32))
+	s.scrapeBytes.Store(int64(len(body)))
+	h := w.Header()
+	h.Set("Content-Type", "text/plain; version=0.0.4")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body)
+}
+
+// appendTo appends the scrape in Prometheus text exposition format.
+func (m *metricsScrape) appendTo(b []byte) []byte {
+	for _, sc := range scalarSeries {
+		b = appendHeader(b, sc.metric, sc.help, promType(sc.metric))
+		for i, e := range m.entries {
+			b = append(b, sc.metric...)
+			b = append(appendLabel(append(b, '{'), "template", e.name), "} "...)
+			b = append(sc.value(b, &m.stats[i]), '\n')
 		}
 	}
 
-	fmt.Fprintln(w, "# HELP pqo_breaker_transitions_total Circuit breaker state transitions by kind.")
-	fmt.Fprintln(w, "# TYPE pqo_breaker_transitions_total counter")
-	for i, e := range entries {
-		st := &stats[i]
-		for _, t := range []struct {
+	b = appendHeader(b, "pqo_breaker_transitions_total", "Circuit breaker state transitions by kind.", "counter")
+	for i, e := range m.entries {
+		st := &m.stats[i]
+		for _, t := range [...]struct {
 			kind  string
 			count int64
 		}{{"open", st.BreakerOpens}, {"half-open", st.BreakerHalfOpens}, {"close", st.BreakerCloses}} {
-			fmt.Fprintf(w, "pqo_breaker_transitions_total{template=%q,transition=%q} %d\n",
-				e.name, t.kind, t.count)
+			b = append(b, "pqo_breaker_transitions_total{"...)
+			b = appendLabel(b, "template", e.name)
+			b = appendLabel(append(b, ','), "transition", t.kind)
+			b = strconv.AppendInt(append(b, "} "...), t.count, 10)
+			b = append(b, '\n')
 		}
 	}
 
-	fmt.Fprintln(w, "# HELP pqo_write_domains Per-template RCU write domains attached to this server's directory.")
-	fmt.Fprintln(w, "# TYPE pqo_write_domains gauge")
-	fmt.Fprintf(w, "pqo_write_domains %d\n", s.dir.Len())
+	b = appendHeader(b, "pqo_write_domains", "Per-template RCU write domains attached to this server's directory.", "gauge")
+	b = strconv.AppendInt(append(b, "pqo_write_domains "...), int64(m.domains), 10)
+	b = append(b, '\n')
+	b = appendHeader(b, "pqo_shed_total", "/plan requests shed with 429 because every in-flight slot stayed busy.", "counter")
+	b = strconv.AppendInt(append(b, "pqo_shed_total "...), m.shed, 10)
+	b = append(b, '\n')
+	b = appendHeader(b, "pqo_epoch_lag_seconds", "Seconds since the last epoch advance while any plan-cache anchor still lags it (0 once revalidation drains).", "gauge")
+	b = strconv.AppendFloat(append(b, "pqo_epoch_lag_seconds "...), m.lag, 'g', -1, 64)
+	b = append(b, '\n')
 
-	fmt.Fprintln(w, "# HELP pqo_shed_total /plan requests shed with 429 because every in-flight slot stayed busy.")
-	fmt.Fprintln(w, "# TYPE pqo_shed_total counter")
-	fmt.Fprintf(w, "pqo_shed_total %d\n", s.shedTotal.Load())
+	b = appendHeader(b, "pqo_check_latency_seconds", "/plan decision latency by serving mechanism: from after request decode and slot acquisition to the priced decision, excluding response encoding.", "histogram")
 
-	fmt.Fprintln(w, "# HELP pqo_epoch_lag_seconds Seconds since the last epoch advance while any plan-cache anchor still lags it (0 once revalidation drains).")
-	fmt.Fprintln(w, "# TYPE pqo_epoch_lag_seconds gauge")
-	fmt.Fprintf(w, "pqo_epoch_lag_seconds %g\n", s.epochLagSeconds(stats))
-
-	fmt.Fprintln(w, "# HELP pqo_check_latency_seconds /plan decision latency by serving mechanism: from after request decode and slot acquisition to the priced decision, excluding response encoding.")
-	fmt.Fprintln(w, "# TYPE pqo_check_latency_seconds histogram")
-	for _, e := range entries {
+	var labels []byte
+	for _, e := range m.entries {
 		for i := range e.hist {
-			labels := fmt.Sprintf("template=%q,via=%q", e.name, checkLabels[i])
-			e.hist[i].writeProm(w, "pqo_check_latency_seconds", labels)
+			labels = appendLabel(labels[:0], "template", e.name)
+			labels = appendLabel(append(labels, ','), "via", checkLabels[i])
+			b = e.hist[i].appendProm(b, "pqo_check_latency_seconds", labels)
 		}
 	}
+	return b
+}
+
+// appendHeader appends a metric's HELP and TYPE lines.
+func appendHeader(b []byte, metric, help, typ string) []byte {
+	b = append(b, "# HELP "...)
+	b = append(b, metric...)
+	b = append(b, ' ')
+	b = append(b, help...)
+	b = append(b, "\n# TYPE "...)
+	b = append(b, metric...)
+	b = append(b, ' ')
+	b = append(b, typ...)
+	return append(b, '\n')
+}
+
+// appendLabel appends key="value", the value Go-quoted.
+func appendLabel(b []byte, key, value string) []byte {
+	b = append(b, key...)
+	b = append(b, '=')
+	return strconv.AppendQuote(b, value)
 }
 
 // statsSnapshot is the Stats type rendered by /metrics; aliased to keep

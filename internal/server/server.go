@@ -118,6 +118,10 @@ type Server struct {
 	lastShed  atomic.Int64 // unix nanos of the most recent shed
 	draining  atomic.Bool  // set by Shutdown before the listener closes
 
+	// scrapeBytes is the previous /metrics body's length: the next
+	// scrape's buffer size.
+	scrapeBytes atomic.Int64
+
 	// admin is the statistics-epoch administration state (admin.go): the
 	// optional attached system plus the epoch log.
 	admin adminState
@@ -785,11 +789,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		})
 	}
 	writeJSON(w, out)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.writeMetrics(w)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {

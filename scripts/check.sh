@@ -77,6 +77,11 @@ case "${1:-}" in
     # "The /v1/plan handler"); TestPlanHandlerAllocBudget pins its allocs.
     go test ./internal/server/ -run '^$' -benchmem -bench 'BenchmarkPlanHandler$'
     go test ./internal/server/ -run '^$' -bench BenchmarkServerParallel -cpu 8
+    # Statistics administration with 31 templates registered: one drained
+    # delta advance, and one /v1/metrics scrape (PERF.md "Memory per
+    # statistics advance"). Report only.
+    go test ./internal/server/ -run '^$' -benchmem \
+        -bench 'BenchmarkAdminAdvance$|BenchmarkMetricsScrape$'
     # Set-up: the four systems plus the 90-template suite, and the first
     # read of one column's histogram, where the sampling cost now lands
     # (PERF.md "Set-up: statistics on demand"). Report only.
