@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -15,70 +15,70 @@ import (
 // path are lock-free and never observe a torn directory — every name in
 // a published dirSnapshot resolves to a valid *SCR from one publication.
 //
+// A publication copies the previous snapshot with one slot inserted or
+// removed at its binary-search position, so attaching n templates costs
+// O(n) copying each and never re-sorts.
+//
 // The directory mutex orders Attach/Detach only; it is never taken by
 // Lookup or any per-domain operation, so mutating one template's
 // cache republishes only that template's snapshot and touches nothing
 // shared.
 type Directory struct {
-	mu      sync.Mutex
-	domains map[string]*SCR
-	snap    atomic.Pointer[dirSnapshot]
+	mu   sync.Mutex
+	snap atomic.Pointer[dirSnapshot]
 }
 
 // dirSnapshot is one immutable published directory state: names sorted
-// ascending, scrs parallel to names. Readers binary-search names and
-// index scrs — both slices are frozen at publication.
+// ascending, scrs and vals parallel to names. Readers binary-search names
+// and index the others — all three slices are frozen at publication.
 type dirSnapshot struct {
 	version int64
 	names   []string
 	scrs    []*SCR
+	vals    []any
 }
 
 // NewDirectory returns an empty directory with an initial (version 1)
 // published snapshot.
 func NewDirectory() *Directory {
-	d := &Directory{domains: make(map[string]*SCR)}
-	d.mu.Lock()
-	d.publishLocked()
-	d.mu.Unlock()
+	d := &Directory{}
+	d.snap.Store(&dirSnapshot{version: 1})
 	return d
 }
 
-// publishLocked rebuilds and publishes the directory snapshot from the
-// domains map. Callers hold d.mu.
-func (d *Directory) publishLocked() {
-	next := &dirSnapshot{
-		version: 1,
-		names:   make([]string, 0, len(d.domains)),
-		scrs:    make([]*SCR, 0, len(d.domains)),
-	}
-	if prev := d.snap.Load(); prev != nil {
-		next.version = prev.version + 1
-	}
-	for name := range d.domains {
-		next.names = append(next.names, name)
-	}
-	sort.Strings(next.names)
-	for _, name := range next.names {
-		next.scrs = append(next.scrs, d.domains[name])
-	}
-	d.snap.Store(next)
+// find returns name's slot in the snapshot: its index if present, else
+// the index it would be inserted at.
+func (snap *dirSnapshot) find(name string) (int, bool) {
+	return slices.BinarySearch(snap.names, name)
 }
 
 // Attach registers s as the write domain for template name. Attaching a
 // name twice is an error: a template's cache identity must be stable for
 // its lifetime (detach first to replace it).
 func (d *Directory) Attach(name string, s *SCR) error {
+	return d.AttachValue(name, s, nil)
+}
+
+// AttachValue is Attach that also publishes v beside s: a value of the
+// caller's, read back with Value and Values from the same snapshot as
+// the SCR.
+func (d *Directory) AttachValue(name string, s *SCR, v any) error {
 	if s == nil {
 		return fmt.Errorf("core: attach %q: nil SCR", name)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, dup := d.domains[name]; dup {
+	prev := d.snap.Load()
+	i, dup := prev.find(name)
+	if dup {
 		return fmt.Errorf("core: template %q already attached", name)
 	}
-	d.domains[name] = s
-	d.publishLocked()
+	d.snap.Store(&dirSnapshot{
+		version: prev.version + 1,
+		names:   insertAt(prev.names, i, name),
+		scrs:    insertAt(prev.scrs, i, s),
+		vals:    insertAt(prev.vals, i, v),
+	})
 	return nil
 }
 
@@ -88,24 +88,53 @@ func (d *Directory) Attach(name string, s *SCR) error {
 func (d *Directory) Detach(name string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.domains[name]; !ok {
+	prev := d.snap.Load()
+	i, ok := prev.find(name)
+	if !ok {
 		return false
 	}
-	delete(d.domains, name)
-	d.publishLocked()
+	d.snap.Store(&dirSnapshot{
+		version: prev.version + 1,
+		names:   slices.Delete(slices.Clone(prev.names), i, i+1),
+		scrs:    slices.Delete(slices.Clone(prev.scrs), i, i+1),
+		vals:    slices.Delete(slices.Clone(prev.vals), i, i+1),
+	})
 	return true
+}
+
+// insertAt returns a new slice holding s with v inserted at index i.
+func insertAt[T any](s []T, i int, v T) []T {
+	out := make([]T, len(s)+1)
+	copy(out, s[:i])
+	out[i] = v
+	copy(out[i+1:], s[i:])
+	return out
 }
 
 // Lookup resolves a template name to its SCR lock-free: one snapshot
 // load and a binary search over the published name list.
 func (d *Directory) Lookup(name string) (*SCR, bool) {
 	snap := d.snap.Load()
-	i := sort.SearchStrings(snap.names, name)
-	if i < len(snap.names) && snap.names[i] == name {
+	if i, ok := snap.find(name); ok {
 		return snap.scrs[i], true
 	}
 	return nil, false
 }
+
+// Value resolves a template name to the value attached with it, as
+// Lookup does its SCR. A name attached by Attach resolves to nil.
+func (d *Directory) Value(name string) (any, bool) {
+	snap := d.snap.Load()
+	if i, ok := snap.find(name); ok {
+		return snap.vals[i], true
+	}
+	return nil, false
+}
+
+// Values returns the attached values in name order. The slice is the
+// published snapshot's own, shared by every reader: callers must not
+// modify it.
+func (d *Directory) Values() []any { return d.snap.Load().vals }
 
 // Names returns the attached template names in ascending order.
 func (d *Directory) Names() []string {

@@ -749,10 +749,10 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot, pr
 	insts := snap.instances
 	cur := s.costEpoch()
 	type cand struct {
-		e  *instanceEntry
-		a  *anchor
-		gl float64
-		l  float64
+		e    *instanceEntry
+		a    *anchor
+		key  float64 // G·L, or L under WithCandidateOrderByL
+		g, l float64
 	}
 	limit := s.cfg.costCheckLimit
 	// Only the `limit` best candidates are ever recosted, so keep a
@@ -777,10 +777,6 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot, pr
 	if capHint > len(buf) {
 		cands = nil
 	}
-	key := func(c cand) float64 { return c.gl }
-	if s.cfg.orderByL {
-		key = func(c cand) float64 { return c.l }
-	}
 	insert := func(c cand) {
 		if keep == 0 {
 			return
@@ -789,13 +785,13 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot, pr
 			cands = make([]cand, 0, capHint)
 		}
 		if len(cands) == keep {
-			if key(c) >= key(cands[len(cands)-1]) {
+			if c.key >= cands[len(cands)-1].key {
 				return
 			}
 			cands = cands[:len(cands)-1]
 		}
 		i := len(cands)
-		for i > 0 && key(c) < key(cands[i-1]) {
+		for i > 0 && c.key < cands[i-1].key {
 			i--
 		}
 		cands = append(cands, cand{})
@@ -837,7 +833,11 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot, pr
 			}
 			continue
 		}
-		insert(cand{e: e, a: a, gl: g * l, l: l})
+		key := g * l
+		if s.cfg.orderByL {
+			key = l
+		}
+		insert(cand{e: e, a: a, key: key, g: g, l: l})
 	}
 
 	if limit >= 0 && len(cands) > 0 {
@@ -872,11 +872,7 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot, pr
 				// Appendix G: the BCG bounds constrain the plan's own cost
 				// ratio between qe and qc; Cost(PP, qe) = C·S.
 				rPlan := newCost / (c.a.c * c.a.s)
-				g, l, err := GLFactors(c.e.v, sv)
-				if err != nil {
-					return nil, err
-				}
-				if ViolatesBCG(rPlan, g, l, s.cfg.violationTol) {
+				if ViolatesBCG(rPlan, c.g, c.l, s.cfg.violationTol) {
 					if !probe {
 						c.e.quarantined.Store(true)
 						s.ctr.violations.Add(1)

@@ -161,7 +161,8 @@ func (e *TemplateEngine) EnvPoolCounters() (gets, reuses int64) {
 	return e.Opt.EnvPoolCounters()
 }
 
-// Timing reports cumulative wall-clock accounting.
+// Timing reports cumulative wall-clock accounting. The call counts are
+// exact; recostTime is estimated from every recostSampleEvery-th recost.
 func (e *TemplateEngine) Timing() (optTime, recostTime time.Duration, optCalls, recostCalls int64) {
 	return time.Duration(e.optNanos.Load()), time.Duration(e.recostNanos.Load()),
 		e.optCalls.Load(), e.recostCalls.Load()

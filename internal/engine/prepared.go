@@ -44,19 +44,34 @@ func (e *TemplateEngine) PrepareRecost(sv []float64) (*PreparedInstance, error) 
 	return pi, nil
 }
 
+// recostSampleEvery is the stride of recost timing: the first recost and
+// every recostSampleEvery-th after it are timed, each sample standing for
+// that many calls. Timing every call reads the clock three times, about
+// 40% of a prepared recost.
+const recostSampleEvery = 8
+
 // Recost computes the cost of a cached plan at this instance's selectivity
-// vector: one flat pass over the plan's shrunken memo (Appendix B).
+// vector: one flat pass over the plan's shrunken memo (Appendix B). The
+// call count is exact; the time accounted (Timing) is a sampled estimate.
 func (pi *PreparedInstance) Recost(cp *CachedPlan) (float64, error) {
 	if cp == nil {
 		return 0, fmt.Errorf("engine: recost of nil cached plan")
 	}
 	e := pi.eng
+	if e.recostCalls.Load()%recostSampleEvery != 0 {
+		c, err := cp.SM.RecostWith(e.Opt, pi.env)
+		if err != nil {
+			return 0, err
+		}
+		e.recostCalls.Add(1)
+		return c, nil
+	}
 	start := time.Now()
 	c, err := cp.SM.RecostWith(e.Opt, pi.env)
 	if err != nil {
 		return 0, err
 	}
-	e.recostNanos.Add(time.Since(start).Nanoseconds())
+	e.recostNanos.Add(time.Since(start).Nanoseconds() * recostSampleEvery)
 	e.recostCalls.Add(1)
 	return c, nil
 }

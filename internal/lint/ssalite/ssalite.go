@@ -204,7 +204,7 @@ type Global struct {
 	pos token.Pos
 }
 
-func (g *Global) Pos() token.Pos   { return g.pos }
+func (g *Global) Pos() token.Pos { return g.pos }
 func (g *Global) Type() types.Type {
 	if g.Obj != nil {
 		return g.Obj.Type()

@@ -266,8 +266,8 @@ func TestAdminStatsLifecycle(t *testing.T) {
 	// q2 keep cost epoch 1 and have nothing to revalidate.
 	checkRevalidation(t, resp, 2)
 	// Drain the background runs so the next advance starts clean.
-	for _, e := range s.snapshotEntries() {
-		if run := e.scr.CurrentRevalidation(); run != nil {
+	for _, v := range s.registered() {
+		if run := v.(*entry).scr.CurrentRevalidation(); run != nil {
 			<-run.Done()
 		}
 	}
@@ -322,8 +322,8 @@ func TestAdminStatsLifecycle(t *testing.T) {
 	// states the new epoch, q1 and q2 still state epoch 1 (their costs
 	// are the same under every epoch since), and every response carries
 	// the node's generation.
-	for _, e := range s.snapshotEntries() {
-		if run := e.scr.CurrentRevalidation(); run != nil {
+	for _, v := range s.registered() {
+		if run := v.(*entry).scr.CurrentRevalidation(); run != nil {
 			<-run.Done()
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/pqotest"
+	"repro/internal/suite"
 	"repro/pqo"
 )
 
@@ -75,4 +76,42 @@ func BenchmarkServerParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRegisterSuite registers the 90 suite templates into a fresh
+// Server, as a deployment does before it serves. The engines and plan
+// caches are built once, outside the timing: Register does not modify a
+// cache when snapshots are disabled.
+func BenchmarkRegisterSuite(b *testing.B) {
+	systems, err := suite.NewSystems(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	entries, err := suite.Build(systems)
+	if err != nil {
+		b.Fatal(err)
+	}
+	engs := make([]pqo.Engine, len(entries))
+	scrs := make([]*pqo.SCR, len(entries))
+	for i, e := range entries {
+		eng, err := e.Sys.EngineFor(e.Tpl)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if scrs[i], err = pqo.New(eng, pqo.WithLambda(2)); err != nil {
+			b.Fatal(err)
+		}
+		engs[i] = eng
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New(Config{})
+		for j, e := range entries {
+			if err := s.Register(e.Tpl.Name, "", engs[j], scrs[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(entries)), "templates")
 }

@@ -80,8 +80,8 @@ func (s *Server) observeClusterEpoch(id uint64) {
 	if id == 0 {
 		return
 	}
-	for _, e := range s.snapshotEntries() {
-		e.scr.ObserveClusterEpoch(id)
+	for _, v := range s.registered() {
+		v.(*entry).scr.ObserveClusterEpoch(id)
 	}
 }
 
@@ -160,10 +160,10 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
 	if sys := s.system(); sys != nil {
 		resp.Epoch = sys.Opt.Epoch().ID
 	}
-	entries := s.snapshotEntries()
+	entries := s.registered()
 	resp.Templates = len(entries)
-	for _, e := range entries {
-		st := e.scr.Stats()
+	for _, v := range entries {
+		st := v.(*entry).scr.Stats()
 		if st.StatsEpoch > resp.Epoch {
 			resp.Epoch = st.StatsEpoch
 		}

@@ -113,8 +113,8 @@ func deltaAdvance(tb testing.TB, s *Server, h http.Handler, k int) {
 	if w.Code != http.StatusOK {
 		tb.Fatalf("advance %d: status %d body %s", k, w.Code, w.Body)
 	}
-	for _, e := range s.snapshotEntries() {
-		if run := e.scr.CurrentRevalidation(); run != nil {
+	for _, v := range s.registered() {
+		if run := v.(*entry).scr.CurrentRevalidation(); run != nil {
 			<-run.Done()
 		}
 	}
@@ -184,8 +184,8 @@ func TestAdminEpochsSurviveCompaction(t *testing.T) {
 		}
 	}
 	drain := func() {
-		for _, e := range s.snapshotEntries() {
-			if run := e.scr.CurrentRevalidation(); run != nil {
+		for _, v := range s.registered() {
+			if run := v.(*entry).scr.CurrentRevalidation(); run != nil {
 				<-run.Done()
 			}
 		}

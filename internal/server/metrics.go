@@ -160,10 +160,12 @@ type metricsScrape struct {
 
 // readMetrics takes the readings one scrape renders.
 func (s *Server) readMetrics() *metricsScrape {
-	m := &metricsScrape{entries: s.snapshotEntries(), domains: s.dir.Len(), shed: s.shedTotal.Load()}
-	m.stats = make([]statsSnapshot, len(m.entries))
-	for i, e := range m.entries {
-		m.stats[i] = e.scr.Stats()
+	vals := s.registered()
+	m := &metricsScrape{entries: make([]*entry, len(vals)), domains: len(vals), shed: s.shedTotal.Load()}
+	m.stats = make([]statsSnapshot, len(vals))
+	for i, v := range vals {
+		m.entries[i] = v.(*entry)
+		m.stats[i] = m.entries[i].scr.Stats()
 	}
 	m.lag = s.epochLagSeconds(m.stats)
 	return m

@@ -39,7 +39,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -99,15 +98,14 @@ const shedRecencyWindow = 10 * time.Second
 type Server struct {
 	cfg Config
 
-	mu      sync.RWMutex
-	entries map[string]*entry
-	httpSrv *http.Server
-	regMu   sync.Mutex // held across Register; see there
+	httpSrv atomic.Pointer[http.Server] // the serving http.Server, if any
 
-	// dir mirrors entries as a pqo.Directory of per-template write
-	// domains: epoch revalidation schedules across it (usage-weighted,
-	// one shared worker pool) and /metrics aggregates publication
-	// counters from it without stopping writers.
+	// dir is the template registry: a pqo.Directory of per-template write
+	// domains, each attached with its *entry as the value. /v1/plan
+	// resolves a template with one atomic load and a binary search, every
+	// per-template walk reads one published snapshot already sorted by
+	// name, and epoch revalidation schedules across it (usage-weighted,
+	// one shared worker pool).
 	dir *pqo.Directory
 
 	// sem bounds in-flight /plan work when Config.MaxInFlight > 0; nil
@@ -148,7 +146,7 @@ func New(cfg Config) *Server {
 	if cfg.RetryAfter == 0 {
 		cfg.RetryAfter = DefaultRetryAfter
 	}
-	s := &Server{cfg: cfg, entries: make(map[string]*entry), dir: pqo.NewDirectory()}
+	s := &Server{cfg: cfg, dir: pqo.NewDirectory()}
 	if cfg.MaxInFlight > 0 {
 		s.sem = make(chan struct{}, cfg.MaxInFlight)
 	}
@@ -158,9 +156,11 @@ func New(cfg Config) *Server {
 // Register adds a template under name, backed by eng and the given SCR
 // cache. sql is informational (shown by /templates; empty is fine for
 // synthetic engines). If Config.SnapshotDir holds a snapshot for name it
-// is restored into scr — a corrupt or incompatible snapshot is logged
-// and ignored, never fatal. A duplicate name is rejected before scr is
-// touched.
+// is restored into scr before the template becomes visible — a corrupt
+// or incompatible snapshot is logged and ignored, never fatal. A name
+// already registered is rejected before scr is touched; of concurrent
+// registrations of one name exactly one succeeds, and a loser's scr may
+// hold the restored snapshot.
 func (s *Server) Register(name, sql string, eng pqo.Engine, scr *pqo.SCR) error {
 	if name == "" {
 		return errors.New("server: empty template name")
@@ -168,11 +168,6 @@ func (s *Server) Register(name, sql string, eng pqo.Engine, scr *pqo.SCR) error 
 	if eng == nil || scr == nil {
 		return fmt.Errorf("server: template %q needs an engine and an SCR", name)
 	}
-	// regMu serializes registrations, so the duplicate check below still
-	// holds when the entry is installed, without holding mu (and stalling
-	// every /v1/plan lookup) across the snapshot import.
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
 	if s.entry(name) != nil {
 		return fmt.Errorf("server: template %q already registered", name)
 	}
@@ -192,20 +187,21 @@ func (s *Server) Register(name, sql string, eng pqo.Engine, scr *pqo.SCR) error 
 			s.logf("snapshot for %s unreadable: %v", name, err)
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.dir.Attach(name, scr); err != nil {
-		return err
-	}
-	s.entries[name] = &entry{name: name, sql: sql, eng: eng, scr: scr}
-	return nil
+	// Refuses the name if a concurrent Register took it since the check.
+	return s.dir.AttachValue(name, scr, &entry{name: name, sql: sql, eng: eng, scr: scr})
 }
 
+// entry resolves a registered template lock-free, or returns nil.
 func (s *Server) entry(name string) *entry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.entries[name]
+	v, _ := s.dir.Value(name)
+	e, _ := v.(*entry)
+	return e
 }
+
+// registered returns the registered templates in name order, each an
+// *entry: the directory snapshot's own slice, so walks neither copy nor
+// sort, and must not modify it.
+func (s *Server) registered() []any { return s.dir.Values() }
 
 func (s *Server) snapshotPath(name string) string {
 	return filepath.Join(s.cfg.SnapshotDir, name+".json")
@@ -248,7 +244,8 @@ func (s *Server) health() HealthStatus {
 		h.Status = "unhealthy"
 		return h
 	}
-	for _, e := range s.snapshotEntries() {
+	for _, v := range s.registered() {
+		e := v.(*entry)
 		st := e.scr.Stats()
 		if st.BreakerState != pqo.BreakerClosed {
 			if h.Breakers == nil {
@@ -307,49 +304,13 @@ const servingGCPercent = 200
 // phase takes a processor from serving. GOGC overrides the choice.
 func (s *Server) Serve(ln net.Listener) error {
 	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	if err := s.setServing(srv); err != nil {
-		return err
+	if !s.httpSrv.CompareAndSwap(nil, srv) {
+		return errors.New("server: already serving")
 	}
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(servingGCPercent)
 	}
 	return srv.Serve(ln)
-}
-
-// setServing installs srv as the active http.Server, failing if one is
-// already installed.
-func (s *Server) setServing(srv *http.Server) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.httpSrv != nil {
-		return errors.New("server: already serving")
-	}
-	s.httpSrv = srv
-	return nil
-}
-
-// takeServer detaches and returns the active http.Server, if any.
-func (s *Server) takeServer() *http.Server {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	srv := s.httpSrv
-	s.httpSrv = nil
-	return srv
-}
-
-// snapshotEntries copies the registered-template list, sorted by name,
-// under the read lock so slow per-entry work (stats, snapshot export, file
-// IO) runs without holding it. Every endpoint that walks the templates
-// reads them through here.
-func (s *Server) snapshotEntries() []*entry {
-	s.mu.RLock()
-	entries := make([]*entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		entries = append(entries, e)
-	}
-	s.mu.RUnlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
-	return entries
 }
 
 // ListenAndServe listens on addr and calls Serve.
@@ -367,8 +328,7 @@ func (s *Server) ListenAndServe(addr string) error {
 // so restarts resume with warm caches.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	srv := s.takeServer()
-	if srv != nil {
+	if srv := s.httpSrv.Swap(nil); srv != nil {
 		if err := srv.Shutdown(ctx); err != nil {
 			return err
 		}
@@ -389,9 +349,9 @@ func (s *Server) SaveSnapshots() (int, error) {
 	if err := os.MkdirAll(s.cfg.SnapshotDir, 0o755); err != nil {
 		return 0, err
 	}
-	entries := s.snapshotEntries()
 	saved := 0
-	for _, e := range entries {
+	for _, v := range s.registered() {
+		e := v.(*entry)
 		data, err := e.scr.Export()
 		if err != nil {
 			return saved, fmt.Errorf("server: exporting %s: %w", e.name, err)
@@ -674,7 +634,9 @@ func (c *requestContext) Err() error {
 	if err := c.Context.Err(); err != nil {
 		return err
 	}
-	if !time.Now().Before(c.deadline) {
+	// deadline carries a monotonic reading, so this reads one clock where
+	// time.Now reads two.
+	if time.Until(c.deadline) <= 0 {
 		return context.DeadlineExceeded
 	}
 	return nil
@@ -715,9 +677,10 @@ type TemplateInfo struct {
 }
 
 func (s *Server) handleTemplates(w http.ResponseWriter, _ *http.Request) {
-	entries := s.snapshotEntries()
+	entries := s.registered()
 	out := make([]TemplateInfo, 0, len(entries))
-	for _, e := range entries {
+	for _, v := range entries {
+		e := v.(*entry)
 		out = append(out, TemplateInfo{Name: e.name, SQL: e.sql, Dimensions: e.eng.Dimensions()})
 	}
 	writeJSON(w, out)
@@ -756,9 +719,10 @@ type StatsRow struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	entries := s.snapshotEntries()
+	entries := s.registered()
 	out := make([]StatsRow, 0, len(entries))
-	for _, e := range entries {
+	for _, v := range entries {
+		e := v.(*entry)
 		st := e.scr.Stats()
 		pct := 0.0
 		if st.Instances > 0 {

@@ -1,12 +1,12 @@
 #!/bin/sh
-# Tier-1 verification: vet, build, run the full test suite, re-run the
+# Tier-1 verification: gofmt, vet, build, run the full test suite, re-run the
 # concurrency-sensitive packages under the race detector, and run
 # planbench's own tests. The experiment reproduction tests are
 # minutes-long already and ~10x slower under -race (they exceed go test's
 # per-package timeout on small machines), so the race pass targets the
 # packages with concurrent hot paths.
 #
-#   ./scripts/check.sh          # vet + build + tests + race pass + planbench
+#   ./scripts/check.sh          # gofmt + vet + build + tests + race pass + planbench
 #   ./scripts/check.sh -lint    # additionally run pqolint + extra analyzers
 #   ./scripts/check.sh -bench   # additionally run the same-run benchmark gates
 #   ./scripts/check.sh -chaos   # additionally run the full chaos profiles
@@ -19,6 +19,14 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Formatting: every tracked Go file outside vendor/, planbench's included,
+# must be gofmt-clean.
+unformatted=$(git ls-files -- '*.go' ':(exclude)vendor/**' ':(exclude)**/vendor/**' | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "check.sh: FAIL gofmt -l lists:"
+    echo "$unformatted"
+    exit 1
+fi
 go vet ./...
 go build ./...
 # -shuffle=on randomizes test (and subtest) execution order, so hidden
@@ -87,6 +95,11 @@ case "${1:-}" in
     # (PERF.md "Set-up: statistics on demand"). Report only.
     go test ./internal/suite/ -run '^$' -benchmem -bench 'BenchmarkNewSystems$'
     go test ./internal/stats/ -run '^$' -benchmem -bench 'BenchmarkColumnHistogram$'
+    # Set-up: n names in scattered order attached to an empty Directory,
+    # and the 90 suite templates registered into a fresh Server (PERF.md
+    # "Set-up: registration"). Report only.
+    go test ./internal/core/ -run '^$' -benchmem -bench 'BenchmarkDirectoryAttach/'
+    go test ./internal/server/ -run '^$' -benchmem -bench 'BenchmarkRegisterSuite$'
     # Every gate below compares two numbers taken in this run, so none
     # depends on the host's speed.
     HI=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
