@@ -25,10 +25,7 @@ import (
 )
 
 func main() {
-	sys, err := engine.NewSystem(catalog.NewTPCH(0.1), 5)
-	if err != nil {
-		log.Fatal(err)
-	}
+	sys := engine.NewSystem(catalog.NewTPCH(0.1), 5)
 	tpl := &query.Template{
 		Name:    "inference",
 		Catalog: sys.Cat,

@@ -27,10 +27,7 @@ import (
 )
 
 func main() {
-	sys, err := engine.NewSystem(catalog.NewTPCDS(0.1), 7)
-	if err != nil {
-		log.Fatal(err)
-	}
+	sys := engine.NewSystem(catalog.NewTPCDS(0.1), 7)
 	tpl := &query.Template{
 		Name:    "dashboard",
 		Catalog: sys.Cat,

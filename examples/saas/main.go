@@ -27,10 +27,7 @@ import (
 )
 
 func main() {
-	sys, err := engine.NewSystem(catalog.NewRD1(), 11)
-	if err != nil {
-		log.Fatal(err)
-	}
+	sys := engine.NewSystem(catalog.NewRD1(), 11)
 	tpl := &query.Template{
 		Name:    "tenant_activity",
 		Catalog: sys.Cat,

@@ -42,10 +42,7 @@ func TestAdvanceOutsideFootprintKeepsTemplateCurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.AdvanceEpoch(next)
-	resampled, err := stats.Build(eng.Opt.Cat, datagen.New(eng.Opt.Cat, 77))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resampled := stats.Build(eng.Opt.Cat, datagen.New(eng.Opt.Cat, 77))
 	eng.AdvanceEpoch(resampled)
 	s.ObserveClusterEpoch(eng.StatsEpoch())
 

@@ -204,7 +204,7 @@ func (s *SCR) adoptLateResult(sv []float64, ch <-chan optResult) {
 		return
 	}
 	s.ctr.optCalls.Add(1)
-	if err := s.storePlan(sv, r.cp, r.cost, r.epoch); err != nil {
+	if err := s.storePlan(sv, r.cp, r.cost, r.epoch, nil); err != nil {
 		_ = err // cache bookkeeping failed; nothing is waiting on this call
 	}
 }

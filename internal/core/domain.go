@@ -74,6 +74,11 @@ type writeDomain struct {
 	// instances is the master instance list in insertion order.
 	// Append-only between publications; see the invariant above.
 	instances []*instanceEntry
+	// logs holds log si(V) for every instance, d values per entry in
+	// instance-list order: the cost-check scan's prefilter input (getPlan).
+	// It is written once per stored instance and shares the instances
+	// list's append-only discipline.
+	logs []float64
 
 	// structural records that a non-append mutation happened since the
 	// last flush, forcing a full snapshot rebuild.
@@ -102,8 +107,12 @@ func (d *writeDomain) init(s *SCR) {
 
 // lock acquires the domain's writer mutex, charging the wait to the
 // writer-wait counter (pqo_writer_wait_seconds_total): summed across
-// templates, it is the direct measure of residual write contention.
+// templates, it is the direct measure of residual write contention. An
+// uncontended acquisition waits for nothing and reads no clock.
 func (d *writeDomain) lock() {
+	if d.mu.TryLock() {
+		return
+	}
 	start := time.Now()
 	d.mu.Lock()
 	d.scr.ctr.writerWaitNs.Add(time.Since(start).Nanoseconds())
@@ -151,6 +160,7 @@ func (d *writeDomain) flushLocked() {
 	prev := d.snap.Load()
 	next := &cacheSnapshot{
 		instances: d.instances,
+		logs:      d.logs,
 		plans:     d.plansSorted,
 		version:   1,
 		epoch:     d.scr.statsEpoch(),
@@ -158,13 +168,23 @@ func (d *writeDomain) flushLocked() {
 	switch {
 	case prev == nil || d.structural || len(d.instances) < len(prev.instances):
 		next.index = buildSelIndex(d.instances)
+		next.minEpoch, next.minS = anchorBounds(d.instances, math.MaxUint64, 1)
 	case len(d.instances) == len(prev.instances):
 		// Marks without new entries (defensive publish on an error path,
 		// anchor-only batches): reuse the previous index outright.
 		next.index = prev.index
+		next.minEpoch, next.minS = prev.minEpoch, prev.minS
 	default:
 		next.index = mergeSelIndex(&prev.index, d.instances, len(prev.instances))
+		next.minEpoch, next.minS = anchorBounds(d.instances[len(prev.instances):], prev.minEpoch, prev.minS)
 	}
+	if next.minEpoch < d.scr.costEpoch() {
+		// Revalidation re-anchors in place without a publication, so a
+		// lagging bound may be stale: recompute it before it disables
+		// the cost-check prefilter for the life of this snapshot.
+		next.minEpoch, next.minS = anchorBounds(d.instances, math.MaxUint64, 1)
+	}
+	next.selCut = math.Log(d.scr.cfg.lambdaMax() / next.minS)
 	if prev != nil {
 		next.version = prev.version + 1
 	}
@@ -176,6 +196,20 @@ func (d *writeDomain) flushLocked() {
 	}
 }
 
+// anchorBounds folds insts' anchors into the running bounds (minEpoch,
+// minS): the lowest anchor epoch and the lowest sub-optimality S, the
+// latter capped at 1. Both stay valid lower bounds for as long as the
+// entries live, because an anchor is only ever swapped by revalidation,
+// which moves it to a newer epoch at S ≥ 1.
+func anchorBounds(insts []*instanceEntry, minEpoch uint64, minS float64) (uint64, float64) {
+	for _, e := range insts {
+		a := e.anc.Load()
+		minEpoch = min(minEpoch, a.epoch)
+		minS = min(minS, a.s)
+	}
+	return minEpoch, minS
+}
+
 // mergeSelIndex extends a published snapshot's selectivity index with the
 // k entries appended since that snapshot was built. The previous index is
 // already weight-sorted and the appended entries' list positions all
@@ -185,6 +219,19 @@ func (d *writeDomain) flushLocked() {
 func mergeSelIndex(prev *selIndex, insts []*instanceEntry, oldLen int) selIndex {
 	n := len(insts)
 	k := n - oldLen
+	idx := selIndex{
+		keys: make([]float64, 0, n),
+		pos:  make([]int32, 0, n),
+	}
+	if k == 1 {
+		// The common store: one new entry, placed after every previous
+		// entry of equal weight by a binary search.
+		w := regionWeight(insts[oldLen].v)
+		i := sort.Search(oldLen, func(i int) bool { return prev.keys[i] > w })
+		idx.keys = append(append(append(idx.keys, prev.keys[:i]...), w), prev.keys[i:]...)
+		idx.pos = append(append(append(idx.pos, prev.pos[:i]...), int32(oldLen)), prev.pos[i:]...)
+		return idx
+	}
 	type add struct {
 		w   float64
 		pos int32
@@ -194,21 +241,14 @@ func mergeSelIndex(prev *selIndex, insts []*instanceEntry, oldLen int) selIndex 
 		adds = append(adds, add{w: regionWeight(insts[i].v), pos: int32(i)})
 	}
 	sort.SliceStable(adds, func(a, b int) bool { return adds[a].w < adds[b].w })
-	idx := selIndex{
-		keys: make([]float64, 0, n),
-		ents: make([]*instanceEntry, 0, n),
-		pos:  make([]int32, 0, n),
-	}
 	i, j := 0, 0
 	for i < oldLen || j < k {
 		if j >= k || (i < oldLen && prev.keys[i] <= adds[j].w) {
 			idx.keys = append(idx.keys, prev.keys[i])
-			idx.ents = append(idx.ents, prev.ents[i])
 			idx.pos = append(idx.pos, prev.pos[i])
 			i++
 		} else {
 			idx.keys = append(idx.keys, adds[j].w)
-			idx.ents = append(idx.ents, insts[adds[j].pos])
 			idx.pos = append(idx.pos, adds[j].pos)
 			j++
 		}
@@ -217,8 +257,9 @@ func mergeSelIndex(prev *selIndex, insts []*instanceEntry, oldLen int) selIndex 
 }
 
 // insertPlanLocked adds a plan to the master plan set, rebuilding the
-// sorted plan list copy-on-write. Caller holds the domain mutex and must
-// publish.
+// sorted plan list copy-on-write. Adding a plan reorders no instance, so
+// it leaves the selectivity index to the next flush's merge. Caller holds
+// the domain mutex and must publish.
 func (d *writeDomain) insertPlanLocked(pe *planEntry) {
 	d.plans[pe.fp] = pe
 	sorted := make([]*planEntry, 0, len(d.plans))
@@ -227,7 +268,6 @@ func (d *writeDomain) insertPlanLocked(pe *planEntry) {
 	sorted = append(sorted, pe)
 	sorted = append(sorted, d.plansSorted[i:]...)
 	d.plansSorted = sorted
-	d.structural = true
 	if n := int64(len(d.plans)); n > d.scr.maxPlans.Load() {
 		d.scr.maxPlans.Store(n)
 	}
@@ -254,6 +294,15 @@ func (d *writeDomain) removePlanLocked(pe *planEntry) {
 // and must publish.
 func (d *writeDomain) addInstance(e *instanceEntry) {
 	d.instances = append(d.instances, e)
+	d.logs = appendLogs(d.logs, e.v)
+}
+
+// appendLogs appends log si for every selectivity of v.
+func appendLogs(logs, v []float64) []float64 {
+	for _, x := range v {
+		logs = append(logs, math.Log(x))
+	}
+	return logs
 }
 
 // setInstancesLocked replaces the master instance list with a freshly
@@ -262,27 +311,30 @@ func (d *writeDomain) addInstance(e *instanceEntry) {
 // snapshot. Caller holds the domain mutex and must publish.
 func (d *writeDomain) setInstancesLocked(insts []*instanceEntry) {
 	d.instances = insts
+	logs := make([]float64, 0, len(d.logs))
+	for _, e := range insts {
+		logs = appendLogs(logs, e.v)
+	}
+	d.logs = logs
 	d.structural = true
 }
 
 // manageCache is Algorithm 2: record the optimized instance, running the
 // redundancy check for genuinely new plans and enforcing the plan budget.
-// epoch is the statistics generation optCost was derived under. Caller
-// holds the domain mutex.
-func (d *writeDomain) manageCache(sv []float64, cp *engine.CachedPlan, optCost float64, epoch uint64) error {
+// epoch is the statistics generation optCost was derived under; pr, if
+// not nil, holds recosts of sv to reuse. Caller holds the domain mutex.
+func (d *writeDomain) manageCache(sv []float64, cp *engine.CachedPlan, optCost float64, epoch uint64, pr *pricing) error {
 	s := d.scr
 	// Mark a publication on every exit: even an error path may have
 	// mutated master state (e.g. an eviction before the failure), and
 	// readers must see it no later than the end of this critical section.
 	defer d.publishLocked()
-	v := make([]float64, len(sv))
-	copy(v, sv)
 	fp := cp.Fingerprint()
 
 	if pe, ok := d.plans[fp]; ok {
 		// Plan already cached: extend its inference region with this
 		// instance.
-		d.addInstance(newInstance(v, pe, optCost, 1, 1, epoch))
+		d.addInstance(newInstance(sv, pe, optCost, 1, 1, epoch))
 		return nil
 	}
 
@@ -292,7 +344,7 @@ func (d *writeDomain) manageCache(sv []float64, cp *engine.CachedPlan, optCost f
 	// optimizer call; after a mid-flight advance the plan is stored
 	// directly (always sound — the check is an optimization).
 	if !s.cfg.storeAlways && len(d.plans) > 0 && epoch == s.costEpoch() {
-		minPE, minCost, err := d.minCostPlan(sv)
+		minPE, minCost, err := d.minCostPlan(sv, pr)
 		if err != nil {
 			return err
 		}
@@ -301,7 +353,7 @@ func (d *writeDomain) manageCache(sv []float64, cp *engine.CachedPlan, optCost f
 			// Redundant: discard the new plan, bind the instance to the
 			// cheapest existing plan with its sub-optimality.
 			s.ctr.redundantPlans.Add(1)
-			d.addInstance(newInstance(v, minPE, optCost, sMin, 1, epoch))
+			d.addInstance(newInstance(sv, minPE, optCost, sMin, 1, epoch))
 			return nil
 		}
 	}
@@ -311,25 +363,31 @@ func (d *writeDomain) manageCache(sv []float64, cp *engine.CachedPlan, optCost f
 	}
 	pe := &planEntry{cp: cp, fp: fp}
 	d.insertPlanLocked(pe)
-	d.addInstance(newInstance(v, pe, optCost, 1, 1, epoch))
+	d.addInstance(newInstance(sv, pe, optCost, 1, 1, epoch))
 	return nil
 }
 
 // minCostPlan recosts every cached plan at sv and returns the cheapest
 // (getMinCostPlan of Algorithm 2). These recosts happen off the critical
-// path and are counted separately.
-func (d *writeDomain) minCostPlan(sv []float64) (*planEntry, float64, error) {
+// path and are counted separately. pr's prepared instance and recosts are
+// reused when they were derived under the current cost epoch, which the
+// caller has checked optCost was derived under.
+func (d *writeDomain) minCostPlan(sv []float64, pr *pricing) (*planEntry, float64, error) {
 	s := d.scr
 	var (
 		best     *planEntry
 		bestCost = math.Inf(1)
 	)
 	// Batch: one prepared instance across every cached plan's recost.
-	pi := s.prepareRecost(sv)
-	defer pi.Release()
+	var own pricing
+	if pr == nil || pr.pi == nil || pr.pi.EpochID() != s.costEpoch() {
+		own.pi = s.prepareRecost(sv)
+		pr = &own
+		defer own.release()
+	}
 	// plansSorted iterates in deterministic (fingerprint) order.
 	for _, pe := range d.plansSorted {
-		c, err := s.recostWith(pi, pe.cp, sv)
+		c, _, err := s.price(pr, pe.cp, sv)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -493,9 +551,7 @@ func (d *writeDomain) seedLocked(sv []float64, cp *engine.CachedPlan, optCost, s
 		pe = &planEntry{cp: cp, fp: fp}
 		d.insertPlanLocked(pe)
 	}
-	v := make([]float64, len(sv))
-	copy(v, sv)
-	d.addInstance(newInstance(v, pe, optCost, subOpt, 0, s.costEpoch()))
+	d.addInstance(newInstance(sv, pe, optCost, subOpt, 0, s.costEpoch()))
 	d.publishLocked()
 	return nil
 }
@@ -536,7 +592,7 @@ func (d *writeDomain) replaceEntryLocked(e *instanceEntry, cp *engine.CachedPlan
 		r.droppedP.Add(1)
 		s.ctr.revalDroppedP.Add(1)
 	}
-	if err := d.manageCache(e.v, cp, optCost, epoch); err != nil {
+	if err := d.manageCache(e.v, cp, optCost, epoch, nil); err != nil {
 		r.failed.Add(1)
 		s.ctr.revalFailed.Add(1)
 		return

@@ -39,21 +39,32 @@ func GLFactors(svE, svC []float64) (g, l float64, err error) {
 	if len(svE) != len(svC) {
 		return 0, 0, fmt.Errorf("core: selectivity vectors have lengths %d and %d", len(svE), len(svC))
 	}
-	g, l = 1, 1
 	for i := range svE {
 		se, sc := svE[i], svC[i]
 		if se <= 0 || sc <= 0 || se > 1 || sc > 1 ||
 			math.IsNaN(se) || math.IsNaN(sc) {
 			return 0, 0, fmt.Errorf("core: selectivity out of (0,1] at dimension %d: %v, %v", i, se, sc)
 		}
-		alpha := sc / se
+	}
+	g, l = glFactors(svE, svC)
+	return g, l, nil
+}
+
+// glFactors is GLFactors' arithmetic without its validation, for the
+// plan cache's checks: a query vector is validated before any check
+// (checkSVector), and a stored one before it is stored.
+func glFactors(svE, svC []float64) (g, l float64) {
+	g, l = 1, 1
+	svC = svC[:len(svE)]
+	for i, se := range svE {
+		alpha := svC[i] / se
 		if alpha > 1 {
 			g *= alpha
 		} else if alpha < 1 {
 			l *= 1 / alpha
 		}
 	}
-	return g, l, nil
+	return g, l
 }
 
 // SelectivityRegionArea returns the area of the 2-dimensional selectivity

@@ -78,9 +78,10 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func() (*Decision, 
 //
 //lint:allow hotalloc miss-path key construction, paid only when an optimizer call is already due
 func svKey(sv []float64) string {
-	b := make([]byte, 8*len(sv))
-	for i, v := range sv {
-		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(v))
+	var buf [16 * 8]byte // built on the stack for up to 16 dimensions
+	b := buf[:0]
+	for _, v := range sv {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
 	return string(b)
 }

@@ -23,10 +23,7 @@ import (
 // a 2-d TPC-H template.
 func realEngine(t testing.TB) *engine.TemplateEngine {
 	t.Helper()
-	sys, err := engine.NewSystem(catalog.NewTPCH(0.05), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := engine.NewSystem(catalog.NewTPCH(0.05), 9)
 	tpl := &query.Template{
 		Name:    "persist2d",
 		Catalog: sys.Cat,

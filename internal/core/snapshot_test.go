@@ -24,8 +24,8 @@ type snapshotFingerprint struct {
 	pps     []*planEntry
 	plans   []*planEntry
 	idxKeys []float64
-	idxEnts []*instanceEntry
 	idxPos  []int32
+	logs    []float64
 	planFPs []string
 }
 
@@ -36,8 +36,8 @@ func fingerprintSnapshot(snap *cacheSnapshot) snapshotFingerprint {
 		insts:   append([]*instanceEntry(nil), snap.instances...),
 		plans:   append([]*planEntry(nil), snap.plans...),
 		idxKeys: append([]float64(nil), snap.index.keys...),
-		idxEnts: append([]*instanceEntry(nil), snap.index.ents...),
 		idxPos:  append([]int32(nil), snap.index.pos...),
+		logs:    append([]float64(nil), snap.logs...),
 	}
 	for _, e := range snap.instances {
 		f.vecs = append(f.vecs, append([]float64(nil), e.v...))
@@ -89,10 +89,16 @@ func (f *snapshotFingerprint) verify(t *testing.T, snap *cacheSnapshot) {
 		t.Fatalf("snapshot index resized: %d -> %d", len(f.idxKeys), len(snap.index.keys))
 	}
 	for i := range snap.index.keys {
-		if snap.index.keys[i] != f.idxKeys[i] ||
-			snap.index.ents[i] != f.idxEnts[i] ||
-			snap.index.pos[i] != f.idxPos[i] {
+		if snap.index.keys[i] != f.idxKeys[i] || snap.index.pos[i] != f.idxPos[i] {
 			t.Fatalf("snapshot index entry %d mutated after publication", i)
+		}
+	}
+	if len(snap.logs) != len(f.logs) {
+		t.Fatalf("snapshot log-selectivity array resized: %d -> %d", len(f.logs), len(snap.logs))
+	}
+	for i, x := range snap.logs {
+		if x != f.logs[i] {
+			t.Fatalf("snapshot log-selectivity %d mutated after publication: %v -> %v", i, f.logs[i], x)
 		}
 	}
 }

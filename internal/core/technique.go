@@ -164,15 +164,21 @@ type Stats struct {
 	// publication marks, i.e. mutation batches).
 	PublishTotal     int64
 	PublishCoalesced int64
-	// GetPlanRecosts counts Recost invocations on the critical path
-	// (the cost check of getPlan).
+	// GetPlanRecosts counts cost-check candidates priced by a recost on
+	// the critical path (the cost check of getPlan). Candidates of one
+	// instance that share a plan share one engine recost.
 	GetPlanRecosts int64
-	// ManageRecosts counts Recost invocations off the critical path
-	// (redundancy checks in manageCache).
+	// ManageRecosts counts plans priced by a recost off the critical path
+	// (redundancy checks in manageCache); a plan the failed cost check
+	// already priced at the instance is not recosted again.
 	ManageRecosts int64
 	// SelChecks counts instance-list entries examined by selectivity
 	// checks (getPlan scanning overhead).
 	SelChecks int64
+	// ScanSkipped counts the entries among SelChecks that the cost-check
+	// scan's prefilter rejected on their log G·L distance alone, without
+	// evaluating their factors or reading their anchors.
+	ScanSkipped int64
 	// CurPlans is the number of plans currently cached; MaxPlans is the
 	// high-water mark (the paper's numPlans).
 	CurPlans int

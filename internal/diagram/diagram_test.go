@@ -11,10 +11,7 @@ import (
 
 func testEngine(t testing.TB) *engine.TemplateEngine {
 	t.Helper()
-	sys, err := engine.NewSystem(catalog.NewTPCH(0.1), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := engine.NewSystem(catalog.NewTPCH(0.1), 42)
 	tpl := &query.Template{
 		Name:    "diag2d",
 		Catalog: sys.Cat,

@@ -6,6 +6,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,24 +19,64 @@ import (
 	"repro/internal/stats"
 )
 
-// CachedPlan is the unit stored in a PQO plan cache: the physical plan, its
-// shrunken-memo recost representation (Appendix B), and its structural
-// fingerprint.
+// CachedPlan is the unit stored in a PQO plan cache: the physical plan and
+// its structural fingerprint, plus the shrunken-memo recost representation
+// (Appendix B), compiled on the plan's first recost. Appendix B charges the
+// compilation once per stored plan, and most optimizer results are never
+// stored (a repeat of a cached plan, or a redundant one), so the optimizer
+// call that finds a plan does not compile it.
 type CachedPlan struct {
 	Plan *plan.Plan
-	SM   *memo.ShrunkenMemo
+
+	// eng compiles the memo; nil for plans built outside an engine
+	// (synthetic test engines), which have no memo.
+	eng *TemplateEngine
+	// compiled is set once sm and err hold the compilation's result;
+	// compileMu makes concurrent first callers wait for one compilation.
+	// (A sync.Once would take a closure on the recost path.)
+	compiled  atomic.Bool
+	compileMu sync.Mutex
+	sm        *memo.ShrunkenMemo
+	err       error
+}
+
+// memo returns the plan's shrunken memo, compiling it on the first call.
+// Concurrent first callers wait for one compilation.
+func (cp *CachedPlan) memo() (*memo.ShrunkenMemo, error) {
+	if cp.eng == nil {
+		return nil, fmt.Errorf("engine: plan %s has no recost representation", cp.Plan.Fingerprint())
+	}
+	if !cp.compiled.Load() {
+		cp.compile()
+	}
+	return cp.sm, cp.err
+}
+
+// compile is memo's slow path.
+func (cp *CachedPlan) compile() {
+	cp.compileMu.Lock()
+	defer cp.compileMu.Unlock()
+	if cp.compiled.Load() {
+		return
+	}
+	cp.sm, cp.err = memo.NewShrunkenMemo(cp.eng.Opt, cp.Plan, cp.eng.Tpl)
+	cp.eng.memoCompiles.Add(1)
+	cp.compiled.Store(true)
 }
 
 // Fingerprint returns the plan's structural identity.
 func (cp *CachedPlan) Fingerprint() string { return cp.Plan.Fingerprint() }
 
-// MemoryBytes estimates the plan-cache memory charged to this plan (§6.1).
-// It tolerates plans without a shrunken memo (used by synthetic test
-// engines).
+// MemoryBytes estimates the plan-cache memory charged to this plan (§6.1):
+// its fingerprint and its shrunken memo, compiled here if no recost has
+// compiled it yet. Plans without a memo (synthetic test engines) are
+// charged their fingerprint.
 func (cp *CachedPlan) MemoryBytes() int {
 	n := len(cp.Plan.Fingerprint())
-	if cp.SM != nil {
-		n += cp.SM.Size()
+	if cp.eng != nil {
+		if sm, err := cp.memo(); err == nil {
+			n += sm.Size()
+		}
 	}
 	return n
 }
@@ -53,10 +94,14 @@ type TemplateEngine struct {
 	recostNanos atomic.Int64
 	optCalls    atomic.Int64
 	recostCalls atomic.Int64
+	// memoCompiles counts shrunken memos compiled (MemoCompiles).
+	memoCompiles atomic.Int64
 
 	// footprint lists the histogram columns the template's constant
 	// predicates read (query.Template.Footprint); CostEpoch derives from it.
 	footprint []string
+	// dims is the template's parameter count, which every Process checks.
+	dims int
 }
 
 // NewTemplateEngine builds an engine for tpl over an existing optimizer.
@@ -64,11 +109,11 @@ func NewTemplateEngine(tpl *query.Template, opt *memo.Optimizer) (*TemplateEngin
 	if err := tpl.Validate(); err != nil {
 		return nil, err
 	}
-	return &TemplateEngine{Tpl: tpl, Opt: opt, footprint: tpl.Footprint()}, nil
+	return &TemplateEngine{Tpl: tpl, Opt: opt, footprint: tpl.Footprint(), dims: tpl.Dimensions()}, nil
 }
 
 // Dimensions returns the template's parameter count d.
-func (e *TemplateEngine) Dimensions() int { return e.Tpl.Dimensions() }
+func (e *TemplateEngine) Dimensions() int { return e.dims }
 
 // Optimize performs a full optimizer call for selectivity vector sv,
 // returning the winning plan (with its recost representation) and its cost.
@@ -86,14 +131,15 @@ func (e *TemplateEngine) OptimizeEpoch(sv []float64) (*CachedPlan, float64, uint
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	sm, err := memo.NewShrunkenMemo(e.Opt, p, e.Tpl)
-	if err != nil {
-		return nil, 0, 0, err
-	}
 	e.optNanos.Add(time.Since(start).Nanoseconds())
 	e.optCalls.Add(1)
-	return &CachedPlan{Plan: p, SM: sm}, c, epoch, nil
+	return &CachedPlan{Plan: p, eng: e}, c, epoch, nil
 }
+
+// MemoCompiles returns how many shrunken memos the engine has compiled:
+// one per cached plan recosted or charged (MemoryBytes), never one per
+// optimizer call.
+func (e *TemplateEngine) MemoCompiles() int64 { return e.memoCompiles.Load() }
 
 // Recost computes the cost of a cached plan at sv via its shrunken memo.
 // Callers recosting several plans for one instance should batch through
@@ -188,18 +234,15 @@ type System struct {
 
 // NewSystem builds statistics and an optimizer for cat with the default
 // cost model.
-func NewSystem(cat *catalog.Catalog, seed int64) (*System, error) {
+func NewSystem(cat *catalog.Catalog, seed int64) *System {
 	gen := datagen.New(cat, seed)
-	st, err := stats.Build(cat, gen)
-	if err != nil {
-		return nil, fmt.Errorf("engine: building statistics for %s: %w", cat.Name, err)
-	}
+	st := stats.Build(cat, gen)
 	return &System{
 		Cat:   cat,
 		Gen:   gen,
 		Stats: st,
 		Opt:   memo.NewOptimizer(cat, cost.DefaultModel(), st),
-	}, nil
+	}
 }
 
 // EngineFor returns a TemplateEngine for tpl over this system.
@@ -221,25 +264,23 @@ func (s *System) AdvanceEpoch(st *stats.Store) *stats.Epoch {
 // by re-sampling synthetic data with the given seed — the "full swap" form
 // of an online statistics refresh. The result is not installed; pass it to
 // AdvanceEpoch.
-func (s *System) ResampleStats(seed int64) (*stats.Store, error) {
-	gen := datagen.New(s.Cat, seed)
-	st, err := stats.Build(s.Cat, gen)
-	if err != nil {
-		return nil, fmt.Errorf("engine: resampling statistics for %s: %w", s.Cat.Name, err)
-	}
-	return st, nil
+func (s *System) ResampleStats(seed int64) *stats.Store {
+	return stats.Build(s.Cat, datagen.New(s.Cat, seed))
 }
 
-// Rehydrate rebuilds a CachedPlan (including its shrunken-memo recost
-// representation) from a bare plan tree — used when importing a persisted
-// plan cache.
+// Rehydrate rebuilds a CachedPlan from a bare plan tree — used when
+// importing a persisted plan cache. It checks that every table the plan
+// scans is in the catalog, the one thing a decoded plan tree can get wrong
+// that its memo compilation would reject; the memo itself compiles on the
+// plan's first recost.
 func (e *TemplateEngine) Rehydrate(p *plan.Plan) (*CachedPlan, error) {
 	if p == nil || p.Root == nil {
 		return nil, fmt.Errorf("engine: rehydrate of nil plan")
 	}
-	sm, err := memo.NewShrunkenMemo(e.Opt, p, e.Tpl)
-	if err != nil {
-		return nil, err
+	for _, t := range p.Root.Tables() {
+		if e.Opt.Cat.Table(t) == nil {
+			return nil, fmt.Errorf("engine: rehydrated plan references unknown table %s", t)
+		}
 	}
-	return &CachedPlan{Plan: p, SM: sm}, nil
+	return &CachedPlan{Plan: p, eng: e}, nil
 }

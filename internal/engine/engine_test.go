@@ -11,10 +11,7 @@ import (
 
 func testSystem(t testing.TB) (*System, *query.Template) {
 	t.Helper()
-	sys, err := NewSystem(catalog.NewTPCH(0.1), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := NewSystem(catalog.NewTPCH(0.1), 42)
 	tpl := &query.Template{
 		Name:    "q2d",
 		Catalog: sys.Cat,
@@ -100,13 +97,11 @@ func TestSetStatsRecostsUnderNewStatistics(t *testing.T) {
 
 	// Swap in a statistics store built from different data: every
 	// histogram is replaced, so the constant template's cost epoch moves.
-	sys2, err := NewSystem(catalog.NewTPCH(0.1), 43)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys2 := NewSystem(catalog.NewTPCH(0.1), 43)
 	engs[0].eng.SetStats(sys2.Stats)
 	after := make([]float64, len(engs))
 	for i, w := range engs {
+		var err error
 		if after[i], err = w.eng.Recost(w.cp, sv); err != nil {
 			t.Fatal(err)
 		}

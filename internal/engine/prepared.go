@@ -20,6 +20,11 @@ import (
 type PreparedInstance struct {
 	eng *TemplateEngine
 	env *memo.Env
+	// calls and nanos are this instance's recost accounting, added to the
+	// engine's shared counters once, on Release, instead of by one atomic
+	// read-modify-write per recost. base is the engine's recost count at
+	// preparation; it phases the timing stride.
+	calls, nanos, base int64
 }
 
 // EpochID returns the cost epoch this instance was prepared under
@@ -41,6 +46,7 @@ func (e *TemplateEngine) PrepareRecost(sv []float64) (*PreparedInstance, error) 
 	pi.eng = e
 	//lint:allow envpool pool manager: Release returns this env to the pool
 	pi.env = env
+	pi.calls, pi.nanos, pi.base = 0, 0, e.recostCalls.Load()
 	return pi, nil
 }
 
@@ -51,38 +57,48 @@ func (e *TemplateEngine) PrepareRecost(sv []float64) (*PreparedInstance, error) 
 const recostSampleEvery = 8
 
 // Recost computes the cost of a cached plan at this instance's selectivity
-// vector: one flat pass over the plan's shrunken memo (Appendix B). The
-// call count is exact; the time accounted (Timing) is a sampled estimate.
+// vector: one flat pass over the plan's shrunken memo (Appendix B), which
+// the plan's first recost compiles. The call count is exact once the
+// instance is released; the time accounted (Timing) is a sampled estimate.
 func (pi *PreparedInstance) Recost(cp *CachedPlan) (float64, error) {
 	if cp == nil {
 		return 0, fmt.Errorf("engine: recost of nil cached plan")
 	}
-	e := pi.eng
-	if e.recostCalls.Load()%recostSampleEvery != 0 {
-		c, err := cp.SM.RecostWith(e.Opt, pi.env)
-		if err != nil {
-			return 0, err
-		}
-		e.recostCalls.Add(1)
-		return c, nil
-	}
-	start := time.Now()
-	c, err := cp.SM.RecostWith(e.Opt, pi.env)
+	sm, err := cp.memo()
 	if err != nil {
 		return 0, err
 	}
-	e.recostNanos.Add(time.Since(start).Nanoseconds() * recostSampleEvery)
-	e.recostCalls.Add(1)
+	o := pi.eng.Opt
+	if (pi.base+pi.calls)%recostSampleEvery != 0 {
+		c, err := sm.RecostWith(o, pi.env)
+		if err != nil {
+			return 0, err
+		}
+		pi.calls++
+		return c, nil
+	}
+	start := time.Now()
+	c, err := sm.RecostWith(o, pi.env)
+	if err != nil {
+		return 0, err
+	}
+	pi.nanos += time.Since(start).Nanoseconds() * recostSampleEvery
+	pi.calls++
 	return c, nil
 }
 
-// Release returns the instance's pooled state. The instance must not be
-// used afterwards.
+// Release adds the instance's recost accounting to the engine's and
+// returns its pooled state. The instance must not be used afterwards.
 func (pi *PreparedInstance) Release() {
 	if pi == nil {
 		return
 	}
-	pi.eng.Opt.ReleaseEnv(pi.env)
+	e := pi.eng
+	if pi.calls > 0 {
+		e.recostCalls.Add(pi.calls)
+		e.recostNanos.Add(pi.nanos)
+	}
+	e.Opt.ReleaseEnv(pi.env)
 	pi.eng, pi.env = nil, nil
 	preparedPool.Put(pi)
 }

@@ -20,10 +20,7 @@ func TestCostModelCorrelatesWithExecutionTime(t *testing.T) {
 		t.Skip("executes many plans")
 	}
 	cat := catalog.NewTPCH(0.01)
-	sys, err := engine.NewSystem(cat, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := engine.NewSystem(cat, 42)
 	db, err := Materialize(cat, sys.Gen, 40000)
 	if err != nil {
 		t.Fatal(err)

@@ -212,10 +212,7 @@ func TestOptimizerPlansExecuteCorrectly(t *testing.T) {
 	// Integration: plans chosen by the real optimizer at different
 	// selectivities all produce identical results for the same instance.
 	cat := catalog.NewTPCH(0.01)
-	sysFull, err := engine.NewSystem(cat, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sysFull := engine.NewSystem(cat, 42)
 	db, err := Materialize(cat, sysFull.Gen, 20000)
 	if err != nil {
 		t.Fatal(err)

@@ -6,8 +6,10 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/query"
+	"repro/internal/suite"
 	"repro/internal/workload"
 )
 
@@ -33,34 +35,11 @@ func (r *Runner) Tab3(m, maxRows int) ([]Tab3Row, error) {
 	if maxRows <= 0 {
 		maxRows = 50000
 	}
-	// Pick a TPC-DS three-way join template (the paper uses a TPC-DS-based
-	// query).
-	var entry = r.entries[0]
-	found := false
-	for _, e := range r.entries {
-		if e.Sys == r.systems.TPCDS && len(e.Tpl.Tables) >= 3 {
-			entry = e
-			found = true
-			break
-		}
-	}
-	if !found {
-		for _, e := range r.entries {
-			if len(e.Tpl.Tables) >= 2 {
-				entry = e
-				break
-			}
-		}
+	entry, eng, ordered, err := r.tab3Stream(m)
+	if err != nil {
+		return nil, err
 	}
 	db, err := exec.Materialize(entry.Sys.Cat, entry.Sys.Gen, maxRows)
-	if err != nil {
-		return nil, err
-	}
-	base, eng, err := r.preparedSet(entry, m)
-	if err != nil {
-		return nil, err
-	}
-	ordered, err := workload.Order(base, workload.Random, r.cfg.Seed+3)
 	if err != nil {
 		return nil, err
 	}
@@ -151,6 +130,39 @@ func (r *Runner) Tab3(m, maxRows int) ([]Tab3Row, error) {
 			row.Total.Round(time.Millisecond), row.Plans)
 	}
 	return rows, nil
+}
+
+// tab3Stream returns Table 3's template, its engine and its m instances in
+// the order Table 3 replays them. The paper uses a TPC-DS-based query, so
+// the template is the first TPC-DS one joining three or more tables, else
+// the first join.
+func (r *Runner) tab3Stream(m int) (suite.Entry, *engine.TemplateEngine, []workload.Instance, error) {
+	entry := r.entries[0]
+	found := false
+	for _, e := range r.entries {
+		if e.Sys == r.systems.TPCDS && len(e.Tpl.Tables) >= 3 {
+			entry = e
+			found = true
+			break
+		}
+	}
+	if !found {
+		for _, e := range r.entries {
+			if len(e.Tpl.Tables) >= 2 {
+				entry = e
+				break
+			}
+		}
+	}
+	base, eng, err := r.preparedSet(entry, m)
+	if err != nil {
+		return suite.Entry{}, nil, nil, err
+	}
+	ordered, err := workload.Order(base, workload.Random, r.cfg.Seed+3)
+	if err != nil {
+		return suite.Entry{}, nil, nil, err
+	}
+	return entry, eng, ordered, nil
 }
 
 func maxPlans(a, b int) int {

@@ -39,10 +39,7 @@ func (r *Runner) ViolationStudy(m int) ([]ViolationRow, error) {
 	// A dedicated full-scale TPC-H system: at sf=1 the filtered lineitem
 	// build side crosses the ~80 MB memory grant within the selectivity
 	// range of interest.
-	sys, err := engine.NewSystem(catalog.NewTPCH(1), r.cfg.Seed+101)
-	if err != nil {
-		return nil, err
-	}
+	sys := engine.NewSystem(catalog.NewTPCH(1), r.cfg.Seed+101)
 	tpl := &query.Template{
 		Name:    "spill_study",
 		Catalog: sys.Cat,

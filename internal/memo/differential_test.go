@@ -281,10 +281,7 @@ type fuzzSystem struct {
 
 func newFuzzSystem(t *testing.T, cat *catalog.Catalog) *fuzzSystem {
 	t.Helper()
-	st, err := stats.Build(cat, datagen.New(cat, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := stats.Build(cat, datagen.New(cat, 42))
 	return &fuzzSystem{cat: cat, st: st, opt: NewOptimizer(cat, cost.DefaultModel(), st)}
 }
 

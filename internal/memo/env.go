@@ -151,6 +151,10 @@ type Env struct {
 	// tableSel[t] is the combined selectivity of the predicates on the
 	// t-th table of Tpl.Tables.
 	tableSel []float64
+	// recalls and recostOps count the shrunken-memo recosts run against
+	// the environment and the operators they visited, until ReleaseEnv
+	// adds them to the optimizer's counters.
+	recalls, recostOps int64
 }
 
 // NewEnv builds a fresh (non-pooled) environment for template tpl under
@@ -166,7 +170,12 @@ func NewEnv(tpl *query.Template, sv []float64, st *stats.Store) (*Env, error) {
 
 // reset (re)initializes e for (tpl, sv), reusing backing slices.
 func (e *Env) reset(tpl *query.Template, sv []float64, st *stats.Store) error {
-	m := metaFor(tpl)
+	m := e.meta
+	if e.Tpl != tpl || m == nil {
+		// A pooled environment usually comes back to the template it last
+		// served, and then skips the metadata lookup.
+		m = metaFor(tpl)
+	}
 	if got, want := len(sv), m.dims; got != want {
 		return fmt.Errorf("memo: sVector has %d entries, template %s needs %d", got, tpl.Name, want)
 	}
@@ -285,9 +294,15 @@ func (e *Env) EpochID() uint64 { return e.epoch }
 
 // ReleaseEnv returns a pooled environment to the pool. nil is a no-op.
 func (o *Optimizer) ReleaseEnv(e *Env) {
-	if e != nil {
-		envPool.Put(e)
+	if e == nil {
+		return
 	}
+	if e.recalls > 0 {
+		atomic.AddInt64(&o.recalls, e.recalls)
+		atomic.AddInt64(&o.recostOps, e.recostOps)
+		e.recalls, e.recostOps = 0, 0
+	}
+	envPool.Put(e)
 }
 
 // EnvPoolCounters reports how many pooled environments were handed out and

@@ -25,10 +25,7 @@ type testRig struct {
 func newRig(t testing.TB) *testRig {
 	t.Helper()
 	cat := catalog.NewTPCH(0.1)
-	st, err := stats.Build(cat, datagen.New(cat, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := stats.Build(cat, datagen.New(cat, 42))
 	opt := NewOptimizer(cat, cost.DefaultModel(), st)
 	tpl := &query.Template{
 		Name:    "q2d",
@@ -231,10 +228,7 @@ func TestRecostMuchCheaperThanOptimize(t *testing.T) {
 	// The paper's premise for the cost check: Recost is far cheaper than a
 	// full optimizer call. Compare expressions costed vs operators visited.
 	cat := catalog.NewTPCH(0.1)
-	st, err := stats.Build(cat, datagen.New(cat, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := stats.Build(cat, datagen.New(cat, 42))
 	opt := NewOptimizer(cat, cost.DefaultModel(), st)
 	r := &testRig{cat: cat, st: st, opt: opt}
 	tpl := r.threeWay(t)

@@ -85,7 +85,8 @@ func (o *Optimizer) AdvanceEpoch(st *stats.Store) *stats.Epoch {
 
 // Counters reports cumulative accounting: optimizer calls made, expressions
 // costed during optimization, recost calls made, and operators visited
-// during recosts.
+// during recosts. Shrunken-memo recosts count once their pooled
+// environment is released (ReleaseEnv).
 func (o *Optimizer) Counters() (optCalls, exprCosted, recostCalls, recostOps int64) {
 	return atomic.LoadInt64(&o.optCalls), atomic.LoadInt64(&o.exprCosted),
 		atomic.LoadInt64(&o.recalls), atomic.LoadInt64(&o.recostOps)

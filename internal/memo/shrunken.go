@@ -2,7 +2,6 @@ package memo
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/plan"
@@ -34,7 +33,9 @@ type shrunkenOp struct {
 	left  int // -1 for leaves
 	right int // -1 for leaves and unary ops
 
-	// Leaf data.
+	// Leaf data. scanCost is a TableScan's whole cost, which no
+	// selectivity moves, so compile prices it once.
+	scanCost float64
 	table    string
 	tab      *catalog.Table
 	rows     float64
@@ -55,7 +56,8 @@ type shrunkenOp struct {
 
 // NewShrunkenMemo compiles a plan into its shrunken-memo form. The
 // compilation cost is paid once per stored plan (per Appendix B, it is not
-// part of the Recost API's overhead).
+// part of the Recost API's overhead). Costs that no selectivity moves are
+// priced here with o's cost model, so the model must not change after.
 func NewShrunkenMemo(o *Optimizer, p *plan.Plan, tpl *query.Template) (*ShrunkenMemo, error) {
 	sm := &ShrunkenMemo{tpl: tpl}
 	idx, err := sm.compile(o, metaFor(tpl), p.Root)
@@ -91,6 +93,9 @@ func (sm *ShrunkenMemo) compile(o *Optimizer, m *tplMeta, n *plan.Node) (int, er
 					}
 				}
 			}
+		}
+		if n.Op == plan.TableScan {
+			e.scanCost = o.Model.TableScanCost(t) + o.Model.FilterCost(e.rows, e.nPreds)
 		}
 		sm.ops = append(sm.ops, e)
 		return len(sm.ops) - 1, nil
@@ -167,8 +172,10 @@ func (sm *ShrunkenMemo) RecostWith(o *Optimizer, env *Env) (float64, error) {
 	if env == nil || env.Tpl != sm.tpl {
 		return 0, fmt.Errorf("memo: recost environment does not match shrunken memo template")
 	}
-	atomic.AddInt64(&o.recalls, 1)
-	atomic.AddInt64(&o.recostOps, int64(len(sm.ops)))
+	// Counted in the environment; ReleaseEnv adds the counts to the
+	// optimizer's, so a batch of recosts shares two atomic adds.
+	env.recalls++
+	env.recostOps += int64(len(sm.ops))
 
 	var buf [smStackOps]smState
 	var states []smState
@@ -185,8 +192,7 @@ func (sm *ShrunkenMemo) RecostWith(o *Optimizer, env *Env) (float64, error) {
 			if e.tableIdx >= 0 {
 				tableSel = env.tableSel[e.tableIdx]
 			}
-			cst := o.Model.TableScanCost(e.tab) + o.Model.FilterCost(e.rows, e.nPreds)
-			states[i] = smState{cst: cst, card: e.rows * tableSel, rowBytes: e.rowBytes}
+			states[i] = smState{cst: e.scanCost, card: e.rows * tableSel, rowBytes: e.rowBytes}
 
 		case plan.IndexScan:
 			ixSel := 1.0

@@ -120,29 +120,41 @@ func fingerprintNode(n *Node) string {
 	if n == nil {
 		return "nil"
 	}
-	var b strings.Builder
-	writeFingerprint(n, &b)
-	return b.String()
+	var buf [256]byte
+	return string(appendFingerprint(buf[:0], n))
 }
 
-func writeFingerprint(n *Node, b *strings.Builder) {
-	b.WriteString(n.Op.String())
+// appendFingerprint appends n's fingerprint to b. It runs once per
+// optimizer call, so it appends strings rather than formatting them.
+func appendFingerprint(b []byte, n *Node) []byte {
+	b = append(b, n.Op.String()...)
 	switch n.Op {
 	case TableScan:
-		fmt.Fprintf(b, "(%s)", n.Table)
+		b = append(b, '(')
+		b = append(b, n.Table...)
+		b = append(b, ')')
 	case IndexScan:
-		fmt.Fprintf(b, "(%s:%s)", n.Table, n.Index)
+		b = append(b, '(')
+		b = append(b, n.Table...)
+		b = append(b, ':')
+		b = append(b, n.Index...)
+		b = append(b, ')')
 	case NLJoin, HashJoin, MergeJoin:
-		fmt.Fprintf(b, "[%s=%s](", n.JoinCol, n.RightJoinCol)
-		writeFingerprint(n.Children[0], b)
-		b.WriteString(",")
-		writeFingerprint(n.Children[1], b)
-		b.WriteString(")")
+		b = append(b, '[')
+		b = append(b, n.JoinCol...)
+		b = append(b, '=')
+		b = append(b, n.RightJoinCol...)
+		b = append(b, "]("...)
+		b = appendFingerprint(b, n.Children[0])
+		b = append(b, ',')
+		b = appendFingerprint(b, n.Children[1])
+		b = append(b, ')')
 	case HashAgg, StreamAgg:
-		b.WriteString("(")
-		writeFingerprint(n.Children[0], b)
-		b.WriteString(")")
+		b = append(b, '(')
+		b = appendFingerprint(b, n.Children[0])
+		b = append(b, ')')
 	}
+	return b
 }
 
 // Tables returns the set of base tables referenced under n.

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -101,5 +102,53 @@ func TestNilRootFingerprint(t *testing.T) {
 	}
 	if p.Root.NumOperators() != 0 {
 		t.Error("nil root should have 0 operators")
+	}
+}
+
+// formatFingerprint is the fingerprint as fmt formats it: the format
+// persisted snapshots and plan-cache keys were written in.
+func formatFingerprint(n *Node, b *strings.Builder) {
+	b.WriteString(n.Op.String())
+	switch n.Op {
+	case TableScan:
+		fmt.Fprintf(b, "(%s)", n.Table)
+	case IndexScan:
+		fmt.Fprintf(b, "(%s:%s)", n.Table, n.Index)
+	case NLJoin, HashJoin, MergeJoin:
+		fmt.Fprintf(b, "[%s=%s](", n.JoinCol, n.RightJoinCol)
+		formatFingerprint(n.Children[0], b)
+		b.WriteString(",")
+		formatFingerprint(n.Children[1], b)
+		b.WriteString(")")
+	case HashAgg, StreamAgg:
+		b.WriteString("(")
+		formatFingerprint(n.Children[0], b)
+		b.WriteString(")")
+	}
+}
+
+// TestFingerprintMatchesFormatted checks the appended fingerprint against
+// the formatted one on every operator, including a tree longer than the
+// stack buffer it is built in.
+func TestFingerprintMatchesFormatted(t *testing.T) {
+	deep := leaf("t0")
+	for i := 1; i < 12; i++ {
+		r := &Node{Op: MergeJoin, JoinCol: fmt.Sprintf("t%d.c", i-1), RightJoinCol: fmt.Sprintf("t%d.c", i),
+			Children: []*Node{ixLeaf(fmt.Sprintf("t%d", i), "ix_c", "c"), deep}}
+		deep = r
+	}
+	for _, root := range []*Node{
+		leaf("a"),
+		ixLeaf("a", "ix", "c"),
+		&Node{Op: HashAgg, Children: []*Node{join(HashJoin, "a.k", 0.1, leaf("a"), ixLeaf("b", "ix_k", "k"))}},
+		&Node{Op: StreamAgg, Children: []*Node{join(NLJoin, "a.k", 0.1, leaf("a"), leaf("b"))}},
+		{Op: OpType(42)},
+		deep,
+	} {
+		var b strings.Builder
+		formatFingerprint(root, &b)
+		if got := New("q", root).Fingerprint(); got != b.String() {
+			t.Errorf("fingerprint %q, formatted %q", got, b.String())
+		}
 	}
 }

@@ -13,10 +13,7 @@ import (
 func testTemplate(t *testing.T) (*Template, *stats.Store) {
 	t.Helper()
 	cat := catalog.NewTPCH(0.05)
-	st, err := stats.Build(cat, datagen.New(cat, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := stats.Build(cat, datagen.New(cat, 5))
 	tpl := &Template{
 		Name:    "q_test",
 		Catalog: cat,

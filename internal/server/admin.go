@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -23,16 +24,30 @@ import (
 // while the read path keeps answering from the generation each entry was
 // derived under.
 
+// epochLogWindow is how many epoch records the log keeps: the newest
+// ones, about 150 KB at 31 templates, however many advances the process
+// serves. Every advance starts a revalidation run for every registered
+// template with an epoch lifecycle, so the newest record always holds
+// each such template's latest target and run.
+const epochLogWindow = 256
+
+// epochsDroppedHeader is the /v1/admin/epochs response header that states
+// how many records fell out of the window.
+const epochsDroppedHeader = "Pqo-Epochs-Dropped"
+
 // adminState holds the optional system handle and the epoch log.
 type adminState struct {
 	mu  sync.Mutex
 	sys *pqo.System
-	// log holds one record per generation; records are immutable, and
-	// compaction replaces a record rather than changing it, so readers
-	// may use the pointers they copied out after releasing mu. Every
-	// record before log[live] is compact.
+	// log holds one record per generation, the newest epochLogWindow of
+	// them; records are immutable, and compaction replaces a record
+	// rather than changing it, so readers may use the pointers they
+	// copied out after releasing mu. Every record before log[live] is
+	// compact.
 	log  []*epochRecord
 	live int
+	// dropped counts the records that fell out of the window.
+	dropped int
 	// installMu serializes whole generation installs (admin- and
 	// cluster-initiated): the read-current-epoch / build-store / advance
 	// sequence must be atomic so concurrent installs cannot interleave
@@ -151,6 +166,16 @@ func (s *Server) appendEpochRecord(rec *epochRecord, revals map[string]*pqo.Reva
 		}
 	}
 	s.admin.log = append(s.admin.log, rec)
+	if n := len(s.admin.log); n > epochLogWindow {
+		// Shift rather than reslice, so the backing array stays at the
+		// window's size.
+		log := s.admin.log
+		copy(log, log[1:])
+		log[n-1] = nil
+		s.admin.log = log[:n-1]
+		s.admin.live = max(s.admin.live-1, 0)
+		s.admin.dropped++
+	}
 }
 
 // compactEpochLogLocked replaces every record whose runs have all
@@ -267,10 +292,7 @@ func (s *Server) advanceGeneration(ctx context.Context, sys *pqo.System, reasonP
 		sort.Strings(columns)
 	} else {
 		reason = reasonPrefix + "resample"
-		next, err = sys.ResampleStats(*resampleSeed)
-		if err != nil {
-			return nil, http.StatusInternalServerError, "", err
-		}
+		next = sys.ResampleStats(*resampleSeed)
 	}
 
 	ep := sys.AdvanceEpoch(next)
@@ -316,6 +338,7 @@ func (s *Server) handleAdminEpochs(w http.ResponseWriter, _ *http.Request) {
 	s.admin.mu.Lock()
 	records := make([]*epochRecord, len(s.admin.log))
 	copy(records, s.admin.log)
+	dropped := s.admin.dropped
 	s.admin.mu.Unlock()
 
 	out := make([]EpochInfo, 0, len(records))
@@ -333,6 +356,7 @@ func (s *Server) handleAdminEpochs(w http.ResponseWriter, _ *http.Request) {
 		out = append(out, info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Epoch < out[j].Epoch })
+	w.Header().Set(epochsDroppedHeader, strconv.Itoa(dropped))
 	writeJSON(w, out)
 }
 

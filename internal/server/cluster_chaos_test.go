@@ -502,7 +502,7 @@ func verifyLambda(t *testing.T, payloads []cluster.Payload, pool [][]float64, re
 		var next *pqo.StatsStore
 		var err error
 		if p.ResampleSeed != nil {
-			next, err = twin.ResampleStats(*p.ResampleSeed)
+			next = twin.ResampleStats(*p.ResampleSeed)
 		} else {
 			next, err = twin.Stats.Apply(p.Deltas)
 		}

@@ -159,6 +159,64 @@ func TestEpochLogRetainsLittlePerAdvance(t *testing.T) {
 	}
 }
 
+// TestEpochLogKeepsWindow makes 10k advances and checks that the epoch
+// log stays at its window: /v1/admin/epochs lists the newest
+// epochLogWindow generations, states how many it dropped, and its newest
+// record still carries every template's latest run.
+func TestEpochLogKeepsWindow(t *testing.T) {
+	s, _ := adminSystem(t)
+	h := s.Handler()
+	vals := make([]float64, 50)
+	for i := range vals {
+		vals[i] = float64(i)
+	}
+	// l_quantity is in no template's footprint, so no run has work.
+	body, err := json.Marshal(AdminStatsRequest{Deltas: []pqo.HistogramDelta{{
+		Table: "lineitem", Column: "l_quantity", Values: vals,
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const advances = 10_000
+	for k := 0; k < advances; k++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/admin/stats", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("advance %d: status %d body %s", k, w.Code, w.Body)
+		}
+	}
+	s.admin.mu.Lock()
+	n, c := len(s.admin.log), cap(s.admin.log)
+	s.admin.mu.Unlock()
+	if n != epochLogWindow || c > 2*epochLogWindow {
+		t.Fatalf("epoch log holds %d records in an array of %d, want %d", n, c, epochLogWindow)
+	}
+
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/admin/epochs", nil))
+	var infos []EpochInfo
+	if err := json.Unmarshal(w.Body.Bytes(), &infos); err != nil {
+		t.Fatal(err)
+	}
+	// The initial record plus one per advance, less the window.
+	if got, want := w.Header().Get(epochsDroppedHeader), fmt.Sprint(advances+1-epochLogWindow); got != want {
+		t.Errorf("%s = %q, want %q", epochsDroppedHeader, got, want)
+	}
+	if len(infos) != epochLogWindow {
+		t.Fatalf("/v1/admin/epochs lists %d epochs, want %d", len(infos), epochLogWindow)
+	}
+	last := infos[len(infos)-1]
+	if last.Epoch != advances+1 || !last.Current || infos[0].Epoch != last.Epoch-epochLogWindow+1 {
+		t.Errorf("listed epochs %d..%d (current %v), want the newest %d ending at %d",
+			infos[0].Epoch, last.Epoch, last.Current, epochLogWindow, advances+1)
+	}
+	for _, name := range []string{"q1", "q2", "q3"} {
+		if p, ok := last.Revalidation[name]; !ok || !p.Finished {
+			t.Errorf("newest record reports %s's run as %+v (present %v), want it finished", name, p, ok)
+		}
+	}
+}
+
 // getEpochs returns the raw /v1/admin/epochs body.
 func getEpochs(t *testing.T, h http.Handler) []byte {
 	t.Helper()

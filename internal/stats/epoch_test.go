@@ -12,10 +12,7 @@ import (
 // columns it names, and a rebuilt store moves every column.
 func TestEpochBirths(t *testing.T) {
 	cat := catalog.NewTPCH(0.01)
-	st, err := Build(cat, datagen.New(cat, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := Build(cat, datagen.New(cat, 11))
 	ship, date := []string{"lineitem.l_shipdate"}, []string{"orders.o_orderdate"}
 	both := append(append([]string(nil), ship...), date...)
 
@@ -42,10 +39,7 @@ func TestEpochBirths(t *testing.T) {
 	if got := e.CostEpoch(nil); got != 1 {
 		t.Errorf("empty footprint: cost epoch %d, want 1", got)
 	}
-	rebuilt, err := Build(cat, datagen.New(cat, 12))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuilt := Build(cat, datagen.New(cat, 12))
 	e = e.Next(rebuilt) // epoch 5: every histogram replaced
 	if got := e.CostEpoch(ship); got != 5 {
 		t.Errorf("rebuilt store: cost epoch %d, want 5", got)

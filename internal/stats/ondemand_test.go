@@ -49,10 +49,7 @@ func TestOnDemandHistogramsMatchBuilt(t *testing.T) {
 	const readers = 4
 	for i, cat := range evaluationCatalogs() {
 		gen := datagen.New(cat, int64(100+i))
-		st, err := Build(cat, gen)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := Build(cat, gen)
 		cols := st.Columns()
 		got := make([][]*Histogram, readers)
 		var wg sync.WaitGroup
@@ -98,11 +95,8 @@ func TestBuildSamplesNothing(t *testing.T) {
 	gen := datagen.New(cat, 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	st, err := Build(cat, gen)
+	st := Build(cat, gen)
 	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const oneSample = DefaultSampleSize * 8 // bytes of one float64 column sample
 	if n := after.TotalAlloc - before.TotalAlloc; n >= oneSample {
 		t.Errorf("Build allocated %d bytes over %d columns, want < %d (one sample)",
@@ -116,10 +110,7 @@ func TestBuildSamplesNothing(t *testing.T) {
 // builds) moves every column's birth without building any histogram.
 func TestEpochsOverUnreadColumns(t *testing.T) {
 	cat := catalog.NewTPCH(0.01)
-	st, err := Build(cat, datagen.New(cat, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := Build(cat, datagen.New(cat, 11))
 	const delta = "orders.o_orderdate"
 	next, err := st.Apply([]HistogramDelta{{Table: "orders", Column: "o_orderdate", Values: seq(500)}})
 	if err != nil {
@@ -154,10 +145,7 @@ func TestEpochsOverUnreadColumns(t *testing.T) {
 		t.Errorf("delta column: cost epoch %d, want 2", got)
 	}
 
-	resampled, err := Build(cat, datagen.New(cat, 12))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resampled := Build(cat, datagen.New(cat, 12))
 	e = e.Next(resampled) // epoch 3: every column resampled
 	for _, k := range resampled.Columns() {
 		if got := e.CostEpoch([]string{k}); got != 3 {
@@ -205,10 +193,7 @@ func BenchmarkColumnHistogram(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		st, err := Build(cat, gen)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := Build(cat, gen)
 		b.StartTimer()
 		if st.Histogram("lineitem", "l_shipdate") == nil {
 			b.Fatal("missing lineitem.l_shipdate")

@@ -63,7 +63,7 @@ const (
 // Build constructs a statistics store for every column of every table in
 // cat, sampling values with gen. It samples nothing itself: each column's
 // histogram is built from gen on the column's first read.
-func Build(cat *catalog.Catalog, gen *datagen.Generator) (*Store, error) {
+func Build(cat *catalog.Catalog, gen *datagen.Generator) *Store {
 	s := &Store{cells: make(map[string]*cell)}
 	for _, t := range cat.Tables() {
 		sample := DefaultSampleSize
@@ -81,7 +81,7 @@ func Build(cat *catalog.Catalog, gen *datagen.Generator) (*Store, error) {
 			}}
 		}
 	}
-	return s, nil
+	return s
 }
 
 // lookup returns the histogram for table.column, building it on the first

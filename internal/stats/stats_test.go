@@ -186,10 +186,7 @@ func TestHistogramProperties(t *testing.T) {
 func TestStoreBuildAndLookup(t *testing.T) {
 	cat := catalog.NewTPCH(0.01)
 	gen := datagen.New(cat, 11)
-	st, err := Build(cat, gen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := Build(cat, gen)
 	if st.Histogram("lineitem", "l_shipdate") == nil {
 		t.Fatal("missing histogram for lineitem.l_shipdate")
 	}
@@ -214,10 +211,7 @@ func TestStoreBuildAndLookup(t *testing.T) {
 func TestStoreValueForSelectivity(t *testing.T) {
 	cat := catalog.NewTPCH(0.05)
 	gen := datagen.New(cat, 11)
-	st, err := Build(cat, gen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := Build(cat, gen)
 	for _, target := range []float64{0.01, 0.1, 0.5, 0.9} {
 		v, err := st.ValueForSelectivityLE("orders", "o_totalprice", target)
 		if err != nil {

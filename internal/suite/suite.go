@@ -30,22 +30,10 @@ type Systems struct {
 // statistics construction stays fast; plan-space shape, not absolute size,
 // is what the experiments depend on.
 func NewSystems(seed int64) (*Systems, error) {
-	tpch, err := engine.NewSystem(catalog.NewTPCH(0.1), seed)
-	if err != nil {
-		return nil, err
-	}
-	tpcds, err := engine.NewSystem(catalog.NewTPCDS(0.1), seed+1)
-	if err != nil {
-		return nil, err
-	}
-	rd1, err := engine.NewSystem(catalog.NewRD1(), seed+2)
-	if err != nil {
-		return nil, err
-	}
-	rd2, err := engine.NewSystem(catalog.NewRD2(), seed+3)
-	if err != nil {
-		return nil, err
-	}
+	tpch := engine.NewSystem(catalog.NewTPCH(0.1), seed)
+	tpcds := engine.NewSystem(catalog.NewTPCDS(0.1), seed+1)
+	rd1 := engine.NewSystem(catalog.NewRD1(), seed+2)
+	rd2 := engine.NewSystem(catalog.NewRD2(), seed+3)
 	return &Systems{TPCH: tpch, TPCDS: tpcds, RD1: rd1, RD2: rd2}, nil
 }
 

@@ -83,10 +83,7 @@ func TestGenerateSetDeterministic(t *testing.T) {
 
 func testEngine(t testing.TB) (*engine.TemplateEngine, *query.Template) {
 	t.Helper()
-	sys, err := engine.NewSystem(catalog.NewTPCH(0.05), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := engine.NewSystem(catalog.NewTPCH(0.05), 42)
 	tpl := &query.Template{
 		Name:    "q2d",
 		Catalog: sys.Cat,

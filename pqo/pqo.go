@@ -207,7 +207,7 @@ func TPCDS(sf float64) *Catalog { return catalog.NewTPCDS(sf) }
 // NewSystem builds histogram statistics and an optimizer for cat with the
 // default cost model; seed drives the deterministic synthetic data.
 func NewSystem(cat *Catalog, seed int64) (*System, error) {
-	return engine.NewSystem(cat, seed)
+	return engine.NewSystem(cat, seed), nil
 }
 
 // ParseTemplate parses a parameterized SQL string (placeholders ?0, ?1, …

@@ -81,6 +81,15 @@ case "${1:-}" in
     # A cost check's recosts through the engine: one PrepareRecost plus 8
     # cached plans (PERF.md "Recost without a result cache"). Report only.
     go test ./internal/engine/ -run '^$' -benchmem -bench 'BenchmarkPreparedRecost$'
+    # The read path at 64, 512 and 4,096 cached instances, and a miss
+    # through Optimize, manageCache and the snapshot flush (PERF.md "Miss
+    # path"). Report only.
+    go test ./internal/core/ -run '^$' -benchmem -bench 'BenchmarkCostCheck/|BenchmarkMissPath$'
+    # Table 3's decision stream on fresh SCRs, no plan executions: ns per
+    # SCR miss and hit, per OptAlways Optimize, and scr_over_optalways,
+    # the ratio TestTab3Execution bounds by 2 (PERF.md "Miss path").
+    # Report only.
+    go test ./internal/experiments/ -run '^$' -bench 'BenchmarkTab3Decisions$' -count 3
     # The /v1/plan handler in process: decode, checks, encode (PERF.md
     # "The /v1/plan handler"); TestPlanHandlerAllocBudget pins its allocs.
     go test ./internal/server/ -run '^$' -benchmem -bench 'BenchmarkPlanHandler$'
