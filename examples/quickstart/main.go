@@ -22,10 +22,7 @@ import (
 func main() {
 	// 1. A database: TPC-H-shaped catalog at scale factor 0.1, with
 	//    histograms built from deterministic synthetic data.
-	sys, err := pqo.NewSystem(pqo.TPCH(0.1), 1)
-	if err != nil {
-		log.Fatal(err)
-	}
+	sys := pqo.NewSystem(pqo.TPCH(0.1), 1)
 
 	// 2. A parameterized query: lineitem ⋈ orders with two parameterized
 	//    range predicates (the paper's "dimensions", placeholders ?0, ?1).

@@ -74,10 +74,7 @@ func main() {
 // newServer registers two demonstration templates over a TPC-DS-like
 // system; internal/server restores snapshots when present.
 func newServer(lambda float64, snapshot string, timeout time.Duration) (*server.Server, error) {
-	sys, err := pqo.NewSystem(pqo.TPCDS(0.1), 21)
-	if err != nil {
-		return nil, err
-	}
+	sys := pqo.NewSystem(pqo.TPCDS(0.1), 21)
 	defs := map[string]string{
 		"dashboard": `SELECT g, COUNT(*) FROM store_sales, date_dim
 		              WHERE store_sales.ss_sold_date_sk = date_dim.d_date_sk

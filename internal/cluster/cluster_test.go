@@ -35,10 +35,7 @@ func (g *gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // registered template behind the versioned HTTP surface.
 func newMember(t *testing.T) (*httptest.Server, *server.Server, *gate) {
 	t.Helper()
-	sys, err := pqo.NewSystem(pqo.TPCH(0.01), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := pqo.NewSystem(pqo.TPCH(0.01), 3)
 	s := server.New(server.Config{})
 	tpl, err := pqo.ParseTemplate("q",
 		`SELECT * FROM lineitem WHERE lineitem.l_shipdate <= ?0 AND lineitem.l_quantity <= ?1`, sys.Cat)

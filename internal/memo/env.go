@@ -23,7 +23,9 @@ import (
 // rebuilding maps inside every Env — is what makes pooled environments
 // allocation-free to reset. Templates are immutable after Validate, and
 // every template names its own catalog, so meta is cached per template
-// pointer for the process lifetime.
+// pointer by the Optimizer that prepares it (Optimizer.metaFor) and lives
+// exactly as long as that optimizer: once a system is discarded, its
+// templates, catalogs and metadata are garbage.
 type tplMeta struct {
 	tables   []metaTable
 	tableIdx map[string]int
@@ -66,22 +68,21 @@ type metaEdge struct {
 	aKey, bKey   string // "table.column" on each side
 }
 
-// metaCache maps *query.Template → *tplMeta.
-var metaCache sync.Map
-
-// metaFor returns the cached metadata for tpl, building it on first use.
-func metaFor(tpl *query.Template) *tplMeta {
-	if m, ok := metaCache.Load(tpl); ok {
+// metaFor returns o's metadata for tpl, building it on first use.
+// Concurrent first uses may each build one, but all of them return the
+// one that was stored first.
+func (o *Optimizer) metaFor(tpl *query.Template) *tplMeta {
+	if m, ok := o.meta.Load(tpl); ok {
 		return m.(*tplMeta)
 	}
 	m := buildMeta(tpl)
-	actual, _ := metaCache.LoadOrStore(tpl, m)
+	actual, _ := o.meta.LoadOrStore(tpl, m)
 	return actual.(*tplMeta)
 }
 
 // buildMeta derives the per-template metadata.
 //
-//lint:allow hotalloc built once per template and memoized by metaFor, never per recost
+//lint:allow hotalloc built once per (optimizer, template) and memoized by Optimizer.metaFor, never per recost
 func buildMeta(tpl *query.Template) *tplMeta {
 	n := len(tpl.Tables)
 	m := &tplMeta{
@@ -159,22 +160,29 @@ type Env struct {
 
 // NewEnv builds a fresh (non-pooled) environment for template tpl under
 // selectivity vector sv. Constant predicates are evaluated against the
-// statistics store st.
+// statistics store st. With no optimizer to cache it, the template's
+// metadata is built afresh for the environment.
 func NewEnv(tpl *query.Template, sv []float64, st *stats.Store) (*Env, error) {
 	e := &Env{}
-	if err := e.reset(tpl, sv, st); err != nil {
+	if err := e.reset(nil, tpl, sv, st); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// reset (re)initializes e for (tpl, sv), reusing backing slices.
-func (e *Env) reset(tpl *query.Template, sv []float64, st *stats.Store) error {
+// reset (re)initializes e for (tpl, sv), reusing backing slices. The
+// template's metadata comes from o's cache, or is built directly when o is
+// nil (NewEnv).
+func (e *Env) reset(o *Optimizer, tpl *query.Template, sv []float64, st *stats.Store) error {
 	m := e.meta
 	if e.Tpl != tpl || m == nil {
 		// A pooled environment usually comes back to the template it last
 		// served, and then skips the metadata lookup.
-		m = metaFor(tpl)
+		if o != nil {
+			m = o.metaFor(tpl)
+		} else {
+			m = buildMeta(tpl)
+		}
 	}
 	if got, want := len(sv), m.dims; got != want {
 		return fmt.Errorf("memo: sVector has %d entries, template %s needs %d", got, tpl.Name, want)
@@ -277,7 +285,7 @@ func (o *Optimizer) PrepareEnv(tpl *query.Template, sv []float64) (*Env, error) 
 	// every selectivity this Env answers comes from the same generation,
 	// and so does the cost epoch it is tagged with.
 	ep := o.epoch.Load()
-	if err := e.reset(tpl, sv, ep.Store); err != nil {
+	if err := e.reset(o, tpl, sv, ep.Store); err != nil {
 		envPool.Put(e)
 		return nil, err
 	}

@@ -45,6 +45,11 @@ type Optimizer struct {
 	// envGets/envReuses account the pooled-environment hot path (PrepareEnv).
 	envGets   int64
 	envReuses int64
+
+	// meta maps each *query.Template this optimizer has prepared to its
+	// *tplMeta, built lazily on first use (metaFor). Owning the cache here
+	// bounds it by the optimizer's lifetime.
+	meta sync.Map
 }
 
 // NewOptimizer returns an optimizer over the given catalog, cost model and

@@ -60,7 +60,7 @@ type shrunkenOp struct {
 // priced here with o's cost model, so the model must not change after.
 func NewShrunkenMemo(o *Optimizer, p *plan.Plan, tpl *query.Template) (*ShrunkenMemo, error) {
 	sm := &ShrunkenMemo{tpl: tpl}
-	idx, err := sm.compile(o, metaFor(tpl), p.Root)
+	idx, err := sm.compile(o, o.metaFor(tpl), p.Root)
 	if err != nil {
 		return nil, err
 	}

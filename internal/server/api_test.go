@@ -183,10 +183,7 @@ func TestTemplatesAndStatsSorted(t *testing.T) {
 // sharing the system optimizer, the arrangement /v1/admin/stats manages.
 func adminSystem(t *testing.T) (*Server, *pqo.System) {
 	t.Helper()
-	sys, err := pqo.NewSystem(pqo.TPCH(0.01), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := pqo.NewSystem(pqo.TPCH(0.01), 3)
 	s := New(Config{})
 	for name, sql := range map[string]string{
 		"q1": `SELECT * FROM lineitem, orders

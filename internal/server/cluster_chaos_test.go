@@ -54,10 +54,7 @@ const chaosSQL = `SELECT * FROM lineitem WHERE lineitem.l_shipdate <= ?0
 
 func newChaosNode(t *testing.T) *chaosNode {
 	t.Helper()
-	sys, err := pqo.NewSystem(pqo.TPCH(0.01), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := pqo.NewSystem(pqo.TPCH(0.01), 3)
 	tpl, err := pqo.ParseTemplate("cq", chaosSQL, sys.Cat)
 	if err != nil {
 		t.Fatal(err)
@@ -435,10 +432,7 @@ func checkSkew(t *testing.T, rs []planRec, healthy map[int]bool) {
 // its stated generation.
 func verifyLambda(t *testing.T, payloads []cluster.Payload, pool [][]float64, recs [][]planRec) {
 	t.Helper()
-	twin, err := pqo.NewSystem(pqo.TPCH(0.01), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	twin := pqo.NewSystem(pqo.TPCH(0.01), 3)
 	tpl, err := pqo.ParseTemplate("cq", chaosSQL, twin.Cat)
 	if err != nil {
 		t.Fatal(err)

@@ -32,10 +32,7 @@ func (e *statsCountingEngine) InjectedFaults() int64 {
 // epoch-lag gauge reuses those readings after an advance instead of
 // taking its own.
 func TestMetricsScrapeReadsStatsOnce(t *testing.T) {
-	sys, err := pqo.NewSystem(pqo.TPCH(0.01), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := pqo.NewSystem(pqo.TPCH(0.01), 3)
 	s := New(Config{})
 	engs := map[string]*statsCountingEngine{}
 	for name, sql := range map[string]string{

@@ -242,10 +242,7 @@ func promValue(t *testing.T, body, series string) int64 {
 // engine cannot rehydrate plans) and verifies the cache survives a
 // restart via POST /snapshot + Register-time restore.
 func TestSnapshotRoundTrip(t *testing.T) {
-	sys, err := pqo.NewSystem(pqo.TPCH(0.01), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := pqo.NewSystem(pqo.TPCH(0.01), 3)
 	tpl, err := pqo.ParseTemplate("q", `
 		SELECT * FROM lineitem, orders
 		WHERE lineitem.l_orderkey = orders.o_orderkey
@@ -306,10 +303,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // asserts /metrics reports the engine's pooled selectivity environments:
 // every /plan response recosts the decided plan through one.
 func TestEnvPoolMetrics(t *testing.T) {
-	sys, err := pqo.NewSystem(pqo.TPCH(0.01), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := pqo.NewSystem(pqo.TPCH(0.01), 3)
 	tpl, err := pqo.ParseTemplate("q", `
 		SELECT * FROM lineitem, orders
 		WHERE lineitem.l_orderkey = orders.o_orderkey
@@ -380,10 +374,7 @@ func TestRegisterValidation(t *testing.T) {
 // into the second SCR. A real template engine is used because the
 // synthetic one cannot rehydrate plans, so no import would happen.
 func TestRegisterDuplicateLeavesSCRUntouched(t *testing.T) {
-	sys, err := pqo.NewSystem(pqo.TPCH(0.01), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := pqo.NewSystem(pqo.TPCH(0.01), 3)
 	tpl, err := pqo.ParseTemplate("q", `
 		SELECT * FROM lineitem, orders
 		WHERE lineitem.l_orderkey = orders.o_orderkey
@@ -508,10 +499,7 @@ func TestServeSetsGCPercent(t *testing.T) {
 // anchor that every later selectivity check rejects, failing every
 // request that reaches the instance scan.
 func TestPlanRejectsOutOfRangeSelectivity(t *testing.T) {
-	sys, err := pqo.NewSystem(pqo.TPCH(0.01), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := pqo.NewSystem(pqo.TPCH(0.01), 3)
 	tpl, err := pqo.ParseTemplate("q1", `SELECT * FROM lineitem, orders
 		WHERE lineitem.l_orderkey = orders.o_orderkey
 		  AND lineitem.l_shipdate <= ?0

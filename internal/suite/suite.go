@@ -60,8 +60,11 @@ type paramSpec struct {
 	op            query.CmpOp
 }
 
+// build assembles one template. It does not validate it: every template
+// reaches the engine through engine.NewTemplateEngine, which does, and
+// TestSuiteTemplatesValidate checks the whole suite.
 func build(sys *engine.System, name string, tables []string, joins []query.Join,
-	params []paramSpec, agg query.Aggregation) (Entry, error) {
+	params []paramSpec, agg query.Aggregation) Entry {
 
 	tpl := &query.Template{
 		Name:    name,
@@ -78,44 +81,25 @@ func build(sys *engine.System, name string, tables []string, joins []query.Join,
 			Table: p.table, Column: p.column, Op: p.op, Param: i,
 		})
 	}
-	if err := tpl.Validate(); err != nil {
-		return Entry{}, fmt.Errorf("suite: template %s: %w", name, err)
-	}
-	return Entry{Tpl: tpl, Sys: sys}, nil
+	return Entry{Tpl: tpl, Sys: sys}
 }
 
-// Build returns the full 90-template suite.
+// Build returns the full 90-template suite. Assembling templates cannot
+// fail, so the error is always nil; planbench and the experiments check it.
 func Build(sys *Systems) ([]Entry, error) {
 	var out []Entry
-	add := func(e Entry, err error) error {
-		if err != nil {
-			return err
-		}
-		out = append(out, e)
-		return nil
-	}
-
-	if err := buildTPCH(sys.TPCH, add); err != nil {
-		return nil, err
-	}
-	if err := buildTPCDS(sys.TPCDS, add); err != nil {
-		return nil, err
-	}
-	if err := buildRD1(sys.RD1, add); err != nil {
-		return nil, err
-	}
-	if err := buildRD2(sys.RD2, add); err != nil {
-		return nil, err
-	}
-	if err := buildExtra(sys, add); err != nil {
-		return nil, err
-	}
+	add := func(e Entry) { out = append(out, e) }
+	buildTPCH(sys.TPCH, add)
+	buildTPCDS(sys.TPCDS, add)
+	buildRD1(sys.RD1, add)
+	buildRD2(sys.RD2, add)
+	buildExtra(sys, add)
 	return out, nil
 }
 
-type adder func(Entry, error) error
+type adder func(Entry)
 
-func buildTPCH(sys *engine.System, add adder) error {
+func buildTPCH(sys *engine.System, add adder) {
 	cat := sys.Cat
 	liOrders := []string{"lineitem", "orders"}
 	liOrdersJoin := []query.Join{fk(cat, "lineitem", "l_orderkey", "orders", "o_orderkey")}
@@ -139,10 +123,8 @@ func buildTPCH(sys *engine.System, add adder) error {
 		if i%3 == 2 {
 			agg = query.GroupBy
 		}
-		if err := add(build(sys, fmt.Sprintf("tpch_li_ord_%02d", i), liOrders, liOrdersJoin,
-			p[:], agg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("tpch_li_ord_%02d", i), liOrders, liOrdersJoin,
+			p[:], agg))
 	}
 	// part–lineitem d=2.
 	for i, p := range [][2]paramSpec{
@@ -150,10 +132,8 @@ func buildTPCH(sys *engine.System, add adder) error {
 		{{"part", "p_retailprice", query.GE}, {"lineitem", "l_quantity", query.GE}},
 		{{"part", "p_size", query.GE}, {"lineitem", "l_extendedprice", query.LE}},
 	} {
-		if err := add(build(sys, fmt.Sprintf("tpch_part_li_%02d", i), partLi, partLiJoin,
-			p[:], query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("tpch_part_li_%02d", i), partLi, partLiJoin,
+			p[:], query.NoAgg))
 	}
 	// d=3 over three-way joins.
 	triples := [][3]paramSpec{
@@ -167,10 +147,8 @@ func buildTPCH(sys *engine.System, add adder) error {
 		if i%2 == 1 {
 			agg = query.GroupBy
 		}
-		if err := add(build(sys, fmt.Sprintf("tpch_3way_%02d", i), liOrdersCust, liOrdersCustJoin,
-			p[:], agg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("tpch_3way_%02d", i), liOrdersCust, liOrdersCustJoin,
+			p[:], agg))
 	}
 	// d=4: add supplier leg.
 	liSupp := []string{"lineitem", "orders", "customer", "supplier"}
@@ -185,10 +163,8 @@ func buildTPCH(sys *engine.System, add adder) error {
 			{"customer", "c_acctbal", query.LE}, {"supplier", "s_acctbal", query.LE}},
 	}
 	for i, p := range quads {
-		if err := add(build(sys, fmt.Sprintf("tpch_4way_%02d", i), liSupp, liSuppJoin,
-			p[:], query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("tpch_4way_%02d", i), liSupp, liSuppJoin,
+			p[:], query.NoAgg))
 	}
 	// Single-table d=2 (cheap queries whose optimization overhead matters).
 	for i, p := range [][2]paramSpec{
@@ -197,15 +173,12 @@ func buildTPCH(sys *engine.System, add adder) error {
 		{{"orders", "o_orderdate", query.LE}, {"orders", "o_totalprice", query.GE}},
 		{{"part", "p_size", query.LE}, {"part", "p_retailprice", query.GE}},
 	} {
-		if err := add(build(sys, fmt.Sprintf("tpch_1t_%02d", i), []string{p[0].table}, nil,
-			p[:], query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("tpch_1t_%02d", i), []string{p[0].table}, nil,
+			p[:], query.NoAgg))
 	}
-	return nil
 }
 
-func buildTPCDS(sys *engine.System, add adder) error {
+func buildTPCDS(sys *engine.System, add adder) {
 	cat := sys.Cat
 	ssDate := []string{"store_sales", "date_dim"}
 	ssDateJoin := []query.Join{fk(cat, "store_sales", "ss_sold_date_sk", "date_dim", "d_date_sk")}
@@ -235,10 +208,8 @@ func buildTPCDS(sys *engine.System, add adder) error {
 		if i%2 == 1 {
 			agg = query.GroupBy
 		}
-		if err := add(build(sys, fmt.Sprintf("tpcds_sales_date_%02d", i), tabs, joins,
-			p[:], agg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("tpcds_sales_date_%02d", i), tabs, joins,
+			p[:], agg))
 	}
 	for i, p := range [][3]paramSpec{
 		{{"store_sales", "ss_sales_price", query.LE}, {"date_dim", "d_year", query.LE}, {"item", "i_current_price", query.LE}},
@@ -250,19 +221,15 @@ func buildTPCDS(sys *engine.System, add adder) error {
 		if i%2 == 0 {
 			agg = query.GroupBy
 		}
-		if err := add(build(sys, fmt.Sprintf("tpcds_q18like_%02d", i), ssItemDate, ssItemDateJoin,
-			p[:], agg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("tpcds_q18like_%02d", i), ssItemDate, ssItemDateJoin,
+			p[:], agg))
 	}
 	for i, p := range [][3]paramSpec{
 		{{"store_sales", "ss_sales_price", query.LE}, {"customer", "c_birth_year", query.LE}, {"customer_address", "ca_gmt_offset", query.LE}},
 		{{"store_sales", "ss_quantity", query.GE}, {"customer", "c_birth_year", query.GE}, {"customer_address", "ca_gmt_offset", query.GE}},
 	} {
-		if err := add(build(sys, fmt.Sprintf("tpcds_cust_%02d", i), ssCustAddr, ssCustAddrJoin,
-			p[:], query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("tpcds_cust_%02d", i), ssCustAddr, ssCustAddrJoin,
+			p[:], query.NoAgg))
 	}
 	// d=4: store_sales + date + item + store.
 	fourTabs := []string{"store_sales", "date_dim", "item", "store"}
@@ -276,25 +243,20 @@ func buildTPCDS(sys *engine.System, add adder) error {
 		{{"store_sales", "ss_quantity", query.GE}, {"date_dim", "d_year", query.GE},
 			{"item", "i_category_id", query.GE}, {"store", "s_number_employees", query.GE}},
 	} {
-		if err := add(build(sys, fmt.Sprintf("tpcds_4way_%02d", i), fourTabs, fourJoin,
-			p[:], query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("tpcds_4way_%02d", i), fourTabs, fourJoin,
+			p[:], query.NoAgg))
 	}
 	// Single-table d=3 on the wide fact table.
 	for i, p := range [][3]paramSpec{
 		{{"store_sales", "ss_sales_price", query.LE}, {"store_sales", "ss_quantity", query.GE}, {"store_sales", "ss_net_profit", query.GE}},
 		{{"web_sales", "ws_sales_price", query.LE}, {"web_sales", "ws_quantity", query.GE}, {"web_sales", "ws_sold_date_sk", query.LE}},
 	} {
-		if err := add(build(sys, fmt.Sprintf("tpcds_1t_%02d", i), []string{p[0].table}, nil,
-			p[:], query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("tpcds_1t_%02d", i), []string{p[0].table}, nil,
+			p[:], query.NoAgg))
 	}
-	return nil
 }
 
-func buildRD1(sys *engine.System, add adder) error {
+func buildRD1(sys *engine.System, add adder) {
 	cat := sys.Cat
 	// Chained multi-join templates: accounts <- transactions <- merchants,
 	// sessions <- events, devices <- sessions, mirroring multi-block
@@ -382,9 +344,7 @@ func buildRD1(sys *engine.System, add adder) error {
 		},
 	}
 	for _, c := range chains {
-		if err := add(build(sys, c.name, c.tables, c.joins, c.params, query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, c.name, c.tables, c.joins, c.params, query.NoAgg))
 	}
 	// Variants with 4 parameters (extra predicate on the fact side).
 	fours := []struct {
@@ -437,9 +397,7 @@ func buildRD1(sys *engine.System, add adder) error {
 		},
 	}
 	for _, c := range fours {
-		if err := add(build(sys, c.name, c.tables, c.joins, c.params, query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, c.name, c.tables, c.joins, c.params, query.NoAgg))
 	}
 	// Single-table templates.
 	for i, p := range [][2]paramSpec{
@@ -447,15 +405,12 @@ func buildRD1(sys *engine.System, add adder) error {
 		{{"events", "events_ts", query.GE}, {"events", "events_amount", query.LE}},
 		{{"accounts", "accounts_score", query.GE}, {"accounts", "accounts_amount", query.LE}},
 	} {
-		if err := add(build(sys, fmt.Sprintf("rd1_1t_%02d", i), []string{p[0].table}, nil,
-			p[:], query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("rd1_1t_%02d", i), []string{p[0].table}, nil,
+			p[:], query.NoAgg))
 	}
-	return nil
 }
 
-func buildRD2(sys *engine.System, add adder) error {
+func buildRD2(sys *engine.System, add adder) {
 	cat := sys.Cat
 	// High-dimensional templates: d = 5..10. The paper's RD2 queries are
 	// multi-block statements over many relations with up to 10
@@ -482,19 +437,15 @@ func buildRD2(sys *engine.System, add adder) error {
 			fk(cat, "facts", fmt.Sprintf("f_dim%d_fk", d%6), dimA, dimA+"_id"),
 			fk(cat, "facts", fmt.Sprintf("f_dim%d_fk", (d+2)%6), dimB, dimB+"_id"),
 		}
-		if err := add(build(sys, fmt.Sprintf("rd2_fact_d%d_0", d),
-			[]string{"facts", dimA, dimB}, joins, params, query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("rd2_fact_d%d_0", d),
+			[]string{"facts", dimA, dimB}, joins, params, query.NoAgg))
 		// Variant 1: pure fact-table template.
 		pure := make([]paramSpec, d)
 		for i := 0; i < d; i++ {
 			pure[i] = paramSpec{"facts", attr((i + 3) % 12), ops[(i+1)%2]}
 		}
-		if err := add(build(sys, fmt.Sprintf("rd2_fact_d%d_1", d),
-			[]string{"facts"}, nil, pure, query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("rd2_fact_d%d_1", d),
+			[]string{"facts"}, nil, pure, query.NoAgg))
 	}
 	// Fact + dimension joins with d = 4..6.
 	for di := 0; di < 6; di++ {
@@ -509,10 +460,7 @@ func buildRD2(sys *engine.System, add adder) error {
 			params = append(params, paramSpec{"facts", attr((di + i*2) % 12), ops[i%2]})
 		}
 		joins := []query.Join{fk(cat, "facts", fmt.Sprintf("f_dim%d_fk", di), dim, dim+"_id")}
-		if err := add(build(sys, fmt.Sprintf("rd2_join_d%d_%s", d, dim),
-			[]string{"facts", dim}, joins, params, query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("rd2_join_d%d_%s", d, dim),
+			[]string{"facts", dim}, joins, params, query.NoAgg))
 	}
-	return nil
 }

@@ -11,20 +11,14 @@ import (
 // suite to the paper's 90 templates: deeper joins (5-way TPC-H with d=5),
 // additional TPC-DS web_sales shapes, RD1 4-way chains with d=5, and RD2
 // two-dimension joins.
-func buildExtra(sys *Systems, add adder) error {
-	if err := buildTPCHExtra(sys.TPCH, add); err != nil {
-		return err
-	}
-	if err := buildTPCDSExtra(sys.TPCDS, add); err != nil {
-		return err
-	}
-	if err := buildRD1Extra(sys.RD1, add); err != nil {
-		return err
-	}
-	return buildRD2Extra(sys.RD2, add)
+func buildExtra(sys *Systems, add adder) {
+	buildTPCHExtra(sys.TPCH, add)
+	buildTPCDSExtra(sys.TPCDS, add)
+	buildRD1Extra(sys.RD1, add)
+	buildRD2Extra(sys.RD2, add)
 }
 
-func buildTPCHExtra(sys *engine.System, add adder) error {
+func buildTPCHExtra(sys *engine.System, add adder) {
 	cat := sys.Cat
 	// 5-way join lineitem-orders-customer-supplier-part with d=5.
 	tabs := []string{"lineitem", "orders", "customer", "supplier", "part"}
@@ -46,10 +40,8 @@ func buildTPCHExtra(sys *engine.System, add adder) error {
 			{"part", "p_size", query.GE}},
 	}
 	for i, p := range fives {
-		if err := add(build(sys, fmt.Sprintf("tpch_5way_%02d", i), tabs, joins,
-			p[:], query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("tpch_5way_%02d", i), tabs, joins,
+			p[:], query.NoAgg))
 	}
 	// customer-orders d=2 (smaller join, distinct cost regime).
 	coTabs := []string{"customer", "orders"}
@@ -58,10 +50,8 @@ func buildTPCHExtra(sys *engine.System, add adder) error {
 		{{"customer", "c_acctbal", query.GE}, {"orders", "o_totalprice", query.LE}},
 		{{"customer", "c_nationkey", query.LE}, {"orders", "o_orderdate", query.GE}},
 	} {
-		if err := add(build(sys, fmt.Sprintf("tpch_cust_ord_%02d", i), coTabs, coJoins,
-			p[:], query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("tpch_cust_ord_%02d", i), coTabs, coJoins,
+			p[:], query.NoAgg))
 	}
 	// 3-dimension single-table on lineitem.
 	for i, p := range [][3]paramSpec{
@@ -70,15 +60,12 @@ func buildTPCHExtra(sys *engine.System, add adder) error {
 		{{"lineitem", "l_receiptdate", query.GE}, {"lineitem", "l_discount", query.GE},
 			{"lineitem", "l_extendedprice", query.GE}},
 	} {
-		if err := add(build(sys, fmt.Sprintf("tpch_1t3d_%02d", i), []string{"lineitem"}, nil,
-			p[:], query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("tpch_1t3d_%02d", i), []string{"lineitem"}, nil,
+			p[:], query.NoAgg))
 	}
-	return nil
 }
 
-func buildTPCDSExtra(sys *engine.System, add adder) error {
+func buildTPCDSExtra(sys *engine.System, add adder) {
 	cat := sys.Cat
 	// web_sales + item via a cross-catalog join on item keys.
 	wsItem := []string{"web_sales", "item"}
@@ -89,10 +76,8 @@ func buildTPCDSExtra(sys *engine.System, add adder) error {
 		{{"web_sales", "ws_sold_date_sk", query.LE}, {"web_sales", "ws_sales_price", query.GE},
 			{"item", "i_manufact_id", query.LE}},
 	} {
-		if err := add(build(sys, fmt.Sprintf("tpcds_ws_item_%02d", i), wsItem, wsItemJoin,
-			p[:], query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("tpcds_ws_item_%02d", i), wsItem, wsItemJoin,
+			p[:], query.NoAgg))
 	}
 	// 5-way star: store_sales with four dimensions, d=5.
 	starTabs := []string{"store_sales", "date_dim", "item", "store", "customer"}
@@ -110,10 +95,8 @@ func buildTPCDSExtra(sys *engine.System, add adder) error {
 			{"item", "i_manufact_id", query.LE}, {"store", "s_number_employees", query.LE},
 			{"customer", "c_birth_year", query.GE}},
 	} {
-		if err := add(build(sys, fmt.Sprintf("tpcds_star5_%02d", i), starTabs, starJoins,
-			p[:], query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("tpcds_star5_%02d", i), starTabs, starJoins,
+			p[:], query.NoAgg))
 	}
 	// GroupBy variants over sales+date.
 	ssDate := []string{"store_sales", "date_dim"}
@@ -122,15 +105,12 @@ func buildTPCDSExtra(sys *engine.System, add adder) error {
 		{{"store_sales", "ss_net_profit", query.LE}, {"date_dim", "d_year", query.GE}},
 		{{"store_sales", "ss_sales_price", query.GE}, {"date_dim", "d_moy", query.LE}},
 	} {
-		if err := add(build(sys, fmt.Sprintf("tpcds_agg_%02d", i), ssDate, ssDateJoin,
-			p[:], query.GroupBy)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("tpcds_agg_%02d", i), ssDate, ssDateJoin,
+			p[:], query.GroupBy))
 	}
-	return nil
 }
 
-func buildRD1Extra(sys *engine.System, add adder) error {
+func buildRD1Extra(sys *engine.System, add adder) {
 	cat := sys.Cat
 	// 4-way chains with d=5 — the multi-block real-world statements whose
 	// optimization time dominates.
@@ -174,9 +154,7 @@ func buildRD1Extra(sys *engine.System, add adder) error {
 		},
 	}
 	for _, c := range fours {
-		if err := add(build(sys, c.name, c.tables, c.joins, c.params, query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, c.name, c.tables, c.joins, c.params, query.NoAgg))
 	}
 	// 3-dimension single-table on the two largest facts.
 	for i, p := range [][3]paramSpec{
@@ -185,10 +163,8 @@ func buildRD1Extra(sys *engine.System, add adder) error {
 		{{"transactions", "transactions_ts", query.GE}, {"transactions", "transactions_amount", query.LE},
 			{"transactions", "transactions_score", query.GE}},
 	} {
-		if err := add(build(sys, fmt.Sprintf("rd1_1t3d_%02d", i), []string{p[0].table}, nil,
-			p[:], query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("rd1_1t3d_%02d", i), []string{p[0].table}, nil,
+			p[:], query.NoAgg))
 	}
 	// GroupBy variants.
 	for i, p := range [][2]paramSpec{
@@ -202,15 +178,12 @@ func buildRD1Extra(sys *engine.System, add adder) error {
 		} else {
 			joins = []query.Join{fk(cat, "events", "events_fk", "sessions", "sessions_id")}
 		}
-		if err := add(build(sys, fmt.Sprintf("rd1_agg_%02d", i), tables, joins,
-			p[:], query.GroupBy)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("rd1_agg_%02d", i), tables, joins,
+			p[:], query.GroupBy))
 	}
-	return nil
 }
 
-func buildRD2Extra(sys *engine.System, add adder) error {
+func buildRD2Extra(sys *engine.System, add adder) {
 	cat := sys.Cat
 	attr := func(i int) string { return fmt.Sprintf("f_attr%02d", i) }
 	// Fact + two dimensions with d = 6..7.
@@ -232,10 +205,8 @@ func buildRD2Extra(sys *engine.System, add adder) error {
 			fk(cat, "facts", fmt.Sprintf("f_dim%d_fk", v), dimA, dimA+"_id"),
 			fk(cat, "facts", fmt.Sprintf("f_dim%d_fk", (v+3)%6), dimB, dimB+"_id"),
 		}
-		if err := add(build(sys, fmt.Sprintf("rd2_2dim_d%d_%d", d, v),
-			[]string{"facts", dimA, dimB}, joins, params, query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("rd2_2dim_d%d_%d", d, v),
+			[]string{"facts", dimA, dimB}, joins, params, query.NoAgg))
 	}
 	// Additional pure-fact variant at d=4 (bridging the dimension bands);
 	// one variant keeps the suite at exactly the paper's 90 templates.
@@ -245,10 +216,7 @@ func buildRD2Extra(sys *engine.System, add adder) error {
 		for i := range params {
 			params[i] = paramSpec{"facts", attr((v*5 + i*2 + 1) % 12), ops[(i+v)%2]}
 		}
-		if err := add(build(sys, fmt.Sprintf("rd2_fact_d4_%d", v),
-			[]string{"facts"}, nil, params, query.NoAgg)); err != nil {
-			return err
-		}
+		add(build(sys, fmt.Sprintf("rd2_fact_d4_%d", v),
+			[]string{"facts"}, nil, params, query.NoAgg))
 	}
-	return nil
 }

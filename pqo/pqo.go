@@ -8,7 +8,7 @@
 // depend on one import path instead of internal/core, internal/engine,
 // internal/catalog and internal/sqlparse:
 //
-//	sys, _ := pqo.NewSystem(pqo.TPCH(0.1), 42)
+//	sys := pqo.NewSystem(pqo.TPCH(0.1), 42)
 //	tpl, _ := pqo.ParseTemplate("q", "SELECT ... WHERE a <= ?0", sys.Cat)
 //	eng, _ := sys.EngineFor(tpl)
 //	scr, _ := pqo.New(eng, pqo.WithLambda(2))
@@ -206,8 +206,8 @@ func TPCDS(sf float64) *Catalog { return catalog.NewTPCDS(sf) }
 
 // NewSystem builds histogram statistics and an optimizer for cat with the
 // default cost model; seed drives the deterministic synthetic data.
-func NewSystem(cat *Catalog, seed int64) (*System, error) {
-	return engine.NewSystem(cat, seed), nil
+func NewSystem(cat *Catalog, seed int64) *System {
+	return engine.NewSystem(cat, seed)
 }
 
 // ParseTemplate parses a parameterized SQL string (placeholders ?0, ?1, …
