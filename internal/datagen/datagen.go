@@ -11,6 +11,7 @@ package datagen
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -73,8 +74,20 @@ func (g *Generator) Rows(table string, n int) ([]Row, error) {
 }
 
 // ColumnSample generates n values drawn from the named column's
-// distribution, sorted ascending. It is the input to histogram construction.
+// distribution, sorted ascending: ColumnDraw's values in order.
 func (g *Generator) ColumnSample(table, column string, n int) ([]float64, error) {
+	vals, err := g.ColumnDraw(table, column, n)
+	if err != nil {
+		return nil, err
+	}
+	sort.Float64s(vals)
+	return vals, nil
+}
+
+// ColumnDraw generates n values drawn from the named column's
+// distribution, in the order they were drawn. It is the input to histogram
+// construction, which needs no more order than its bounds' ranks.
+func (g *Generator) ColumnDraw(table, column string, n int) ([]float64, error) {
 	t := g.cat.Table(table)
 	if t == nil {
 		return nil, fmt.Errorf("datagen: unknown table %q in catalog %s", table, g.cat.Name)
@@ -92,7 +105,6 @@ func (g *Generator) ColumnSample(table, column string, n int) ([]float64, error)
 	for i := range vals {
 		vals[i] = s.next(rng, i)
 	}
-	sort.Float64s(vals)
 	return vals, nil
 }
 
@@ -106,13 +118,13 @@ func newSampler(col *catalog.Column, rng *rand.Rand) sampler {
 	case catalog.Sequential:
 		return &seqSampler{min: col.Min, max: col.Max}
 	case catalog.Uniform:
-		return &uniformSampler{min: col.Min, max: col.Max, distinct: col.Distinct}
+		return newUniformSampler(col)
 	case catalog.Normal:
 		return &normalSampler{min: col.Min, max: col.Max}
 	case catalog.Zipf:
 		return newZipfSampler(col, rng)
 	default:
-		return &uniformSampler{min: col.Min, max: col.Max, distinct: col.Distinct}
+		return newUniformSampler(col)
 	}
 }
 
@@ -123,21 +135,76 @@ func (s *seqSampler) next(_ *rand.Rand, rowIdx int) float64 {
 	if span <= 0 {
 		return s.min
 	}
-	return s.min + math.Mod(float64(rowIdx), span)
+	x := float64(rowIdx)
+	if x < span {
+		// math.Mod(x, span) is x itself here; skip its software loop.
+		return s.min + x
+	}
+	return s.min + math.Mod(x, span)
 }
 
+// uniformSampler draws uniformly from [min, max]: from its distinct values
+// when there are at most 1<<20 of them, else continuously.
 type uniformSampler struct {
 	min, max float64
-	distinct int64
+	discrete bool
+	step     float64 // gap between neighbouring distinct values
+	pick     int63n  // draws a distinct value's index
+}
+
+func newUniformSampler(col *catalog.Column) *uniformSampler {
+	s := &uniformSampler{min: col.Min, max: col.Max}
+	if col.Distinct > 1 && col.Distinct <= 1<<20 {
+		s.discrete = true
+		s.step = (s.max - s.min) / float64(col.Distinct-1)
+		s.pick = newInt63n(col.Distinct)
+	}
+	return s
 }
 
 func (s *uniformSampler) next(rng *rand.Rand, _ int) float64 {
-	if s.distinct > 1 && s.distinct <= 1<<20 {
-		// Discrete uniform over the distinct values.
-		step := (s.max - s.min) / float64(s.distinct-1)
-		return s.min + step*float64(rng.Int63n(s.distinct))
+	if s.discrete {
+		return s.min + s.step*float64(s.pick.draw(rng))
 	}
 	return s.min + rng.Float64()*(s.max-s.min)
+}
+
+// int63n draws exactly what rand.Rand.Int63n(n) draws from the same
+// source — the same Int63 values, the same rejections, the same result —
+// with the divisions by n done once, up front: the rejection bound is
+// precomputed, and v % n is taken by a multiply with the reciprocal m =
+// ⌊(2⁶⁴−1)/n⌋. For v < 2⁶³, q = ⌊v·m/2⁶⁴⌋ is ⌊v/n⌋ or one less, so
+// v − q·n is the remainder or the remainder plus n.
+type int63n struct {
+	n   uint64
+	max int64
+	m   uint64
+}
+
+// newInt63n returns the drawer for n > 0.
+func newInt63n(n int64) int63n {
+	return int63n{n: uint64(n), max: int64((1 << 63) - 1 - (1<<63)%uint64(n)), m: ^uint64(0) / uint64(n)}
+}
+
+func (d int63n) draw(rng *rand.Rand) int64 {
+	if d.n&(d.n-1) == 0 {
+		return rng.Int63() & int64(d.n-1)
+	}
+	v := rng.Int63()
+	for v > d.max {
+		v = rng.Int63()
+	}
+	return int64(d.rem(uint64(v)))
+}
+
+// rem returns v % n for v < 2⁶³.
+func (d int63n) rem(v uint64) uint64 {
+	q, _ := bits.Mul64(v, d.m)
+	r := v - q*d.n
+	if r >= d.n {
+		r -= d.n
+	}
+	return r
 }
 
 type normalSampler struct{ min, max float64 }

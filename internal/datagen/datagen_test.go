@@ -2,6 +2,7 @@ package datagen
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -209,5 +210,44 @@ func TestColumnSampleProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestInt63nMatchesRand checks that the uniform sampler's index drawer
+// draws exactly what rand.Rand.Int63n draws from the same source, for
+// powers of two, small and large divisors and the 1<<20 limit, and that
+// its remainder equals % at the edges of its domain.
+func TestInt63nMatchesRand(t *testing.T) {
+	ns := []int64{1, 2, 3, 7, 12, 1000, 1023, 2405, 2557, 73049, 1<<20 - 1, 1 << 20, 1<<62 + 1, 1<<63 - 1}
+	pick := rand.New(rand.NewSource(5))
+	for len(ns) < 64 {
+		ns = append(ns, 1+pick.Int63n(1<<20))
+	}
+	for _, n := range ns {
+		d := newInt63n(n)
+		want, got := rand.New(rand.NewSource(n)), rand.New(rand.NewSource(n))
+		for i := 0; i < 2000; i++ {
+			if w, g := want.Int63n(n), d.draw(got); w != g {
+				t.Fatalf("n=%d draw %d: int63n %d, rand.Int63n %d", n, i, g, w)
+			}
+		}
+		for _, v := range []uint64{0, 1, uint64(n) - 1, uint64(n), uint64(n) + 1, 1<<63 - 1, 1<<63 - uint64(n)} {
+			if g, w := d.rem(v), v%uint64(n); g != w {
+				t.Fatalf("n=%d: rem(%d) = %d, want %d", n, v, g, w)
+			}
+		}
+	}
+}
+
+// TestSeqSamplerMatchesMod checks the sequential sampler's shortcut
+// against math.Mod on both sides of the span.
+func TestSeqSamplerMatchesMod(t *testing.T) {
+	for _, s := range []seqSampler{{0, 100}, {-3.5, 7.25}, {1e6, 1e6 + 0.1}, {0, 1.5e5}} {
+		for i := 0; i < 1000; i++ {
+			want := s.min + math.Mod(float64(i), s.max-s.min)
+			if got := s.next(nil, i); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v row %d: %v, want %v", s, i, got, want)
+			}
+		}
 	}
 }

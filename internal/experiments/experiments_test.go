@@ -251,17 +251,23 @@ func TestTab3Execution(t *testing.T) {
 	oa := byName["OptAlways"]
 	scr := byName["SCR1.1"]
 	pcm := byName["PCM1.1"]
-	if oa.OptTime <= 0 || oa.ExecTime <= 0 {
+	if oa.OptTime <= 0 || oa.OptCPU <= 0 || oa.ExecTime <= 0 {
 		t.Fatalf("OptAlways times not measured: %+v", oa)
 	}
-	// Wall-clock comparisons are tolerant (CI noise); the robust shape is
-	// the plan-count ordering: SCR retains far fewer plans than PCM and
-	// the heuristics, while OptOnce keeps exactly one. The ratio is logged
-	// on every run so its margin under the bound shows in -v output.
-	t.Logf("SCR1.1/OptAlways opt time: %v / %v = %.3f (bound 2)",
+	// The optimization times compare the decisions' thread CPU time
+	// (wall time off Linux), taken with the techniques interleaved:
+	// summed wall time charges SCR with every preemption a neighbouring
+	// process causes inside its ~2 ms of decisions, which alone can
+	// exceed the margin. The bound stays tolerant; the robust shape is the
+	// plan-count ordering: SCR retains
+	// far fewer plans than PCM and the heuristics, while OptOnce keeps
+	// exactly one. Both ratios are logged on every run so the margin under
+	// the bound shows in -v output.
+	t.Logf("SCR1.1/OptAlways opt CPU: %v / %v = %.3f (bound 2); wall %v / %v = %.3f",
+		scr.OptCPU, oa.OptCPU, float64(scr.OptCPU)/float64(oa.OptCPU),
 		scr.OptTime, oa.OptTime, float64(scr.OptTime)/float64(oa.OptTime))
-	if scr.OptTime > 2*oa.OptTime {
-		t.Errorf("SCR1.1 opt time %v far above OptAlways %v", scr.OptTime, oa.OptTime)
+	if scr.OptCPU > 2*oa.OptCPU {
+		t.Errorf("SCR1.1 opt CPU %v far above OptAlways %v", scr.OptCPU, oa.OptCPU)
 	}
 	if scr.Plans >= pcm.Plans {
 		t.Errorf("SCR1.1 stored %d plans, PCM1.1 %d; SCR should store fewer", scr.Plans, pcm.Plans)

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -75,8 +76,9 @@ func (e *Epoch) CostEpoch(footprint []string) uint64 {
 }
 
 // HistogramDelta replaces the histogram of one column: the raw sample
-// values are sorted and rebuilt into an equi-depth histogram with
-// DefaultBuckets resolution (or Buckets when positive). It is the unit of
+// values, which must be finite and need not be sorted, are built into an
+// equi-depth histogram with DefaultBuckets resolution (or Buckets when
+// positive). It is the unit of
 // an incremental statistics update — the online alternative to rebuilding
 // a full Store.
 type HistogramDelta struct {
@@ -92,7 +94,8 @@ type HistogramDelta struct {
 // the map, never the per-column data, and reads nothing. Each delta's
 // histogram is installed as an already-built cell. Every delta must name a
 // column the store holds — a delta cannot invent columns the catalog does
-// not know.
+// not know — and carry only finite values: a NaN or an infinity would
+// become a histogram bound that every estimate then reads.
 func (s *Store) Apply(deltas []HistogramDelta) (*Store, error) {
 	if len(deltas) == 0 {
 		return nil, fmt.Errorf("stats: empty delta")
@@ -109,13 +112,16 @@ func (s *Store) Apply(deltas []HistogramDelta) (*Store, error) {
 		if len(d.Values) == 0 {
 			return nil, fmt.Errorf("stats: delta for %s has no values", key)
 		}
-		vals := append([]float64(nil), d.Values...)
-		sort.Float64s(vals)
+		for i, v := range d.Values {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("stats: delta for %s has non-finite value %v at index %d", key, v, i)
+			}
+		}
 		buckets := d.Buckets
 		if buckets <= 0 {
 			buckets = DefaultBuckets
 		}
-		h, err := BuildHistogram(vals, buckets)
+		h, err := sampleHistogram(d.Values, buckets)
 		if err != nil {
 			return nil, fmt.Errorf("stats: delta for %s: %w", key, err)
 		}

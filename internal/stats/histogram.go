@@ -49,33 +49,45 @@ func BuildHistogram(sorted []float64, buckets int) (*Histogram, error) {
 			return nil, fmt.Errorf("stats: sample not sorted at index %d", i)
 		}
 	}
-	if buckets > len(sorted) {
-		buckets = len(sorted)
+	ranks := boundRanks(len(sorted), buckets)
+	at := make([]float64, len(ranks))
+	le := make([]int, len(ranks))
+	for i, r := range ranks {
+		at[i] = sorted[r]
+		le[i] = upperBound(sorted, at[i])
 	}
-	h := &Histogram{
-		bounds: make([]float64, buckets+1),
-		cum:    make([]float64, buckets+1),
-		total:  len(sorted),
+	return newHistogram(len(sorted), at, le), nil
+}
+
+// boundRanks returns the sample rank (0-based, ascending) of each bound
+// of an equi-depth histogram over n values: buckets+1 ranks, buckets
+// clamped to n, each bucket perBucket = n/buckets ranks deep, and the
+// last bound at the maximum, rank n-1.
+func boundRanks(n, buckets int) []int {
+	if buckets > n {
+		buckets = n
 	}
-	perBucket := float64(len(sorted)) / float64(buckets)
-	for i := 0; i <= buckets; i++ {
-		idx := int(float64(i) * perBucket)
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		h.bounds[i] = sorted[idx]
+	ranks := make([]int, buckets+1)
+	perBucket := float64(n) / float64(buckets)
+	for i := range ranks {
+		ranks[i] = min(int(float64(i)*perBucket), n-1)
 	}
 	// The last bound must cover the maximum sample value.
-	h.bounds[buckets] = sorted[len(sorted)-1]
-	// Precompute the cumulative fraction at each bound from the sample
-	// itself: the count of values <= bounds[i], not the equi-depth ideal
-	// i/buckets — the two differ exactly where duplicates pile up on a
-	// boundary, which is where the uniform approximation was worst.
-	for i, b := range h.bounds {
-		le := sort.Search(len(sorted), func(k int) bool { return sorted[k] > b })
-		h.cum[i] = float64(le) / float64(len(sorted))
+	ranks[buckets] = n - 1
+	return ranks
+}
+
+// newHistogram returns the histogram of an n-value sample whose bounds
+// are at, where le[i] is the number of sample values <= at[i]. The
+// cumulative fraction at each bound is that count, not the equi-depth
+// ideal i/buckets — the two differ exactly where duplicates pile up on a
+// boundary, which is where the uniform approximation was worst.
+func newHistogram(n int, at []float64, le []int) *Histogram {
+	h := &Histogram{bounds: at, cum: make([]float64, len(at)), total: n}
+	for i, c := range le {
+		h.cum[i] = float64(c) / float64(n)
 	}
-	return h, nil
+	return h
 }
 
 // Buckets returns the number of buckets.

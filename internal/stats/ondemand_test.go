@@ -21,8 +21,9 @@ func evaluationCatalogs() []*catalog.Catalog {
 	}
 }
 
-// builtHistogram builds table.column's histogram directly from a
-// generator sample, as the store does on the column's first read.
+// builtHistogram is the sort-based reference for table.column's
+// histogram: BuildHistogram over the generator's sorted sample, which the
+// store's first-read build by selection must equal.
 func builtHistogram(t *testing.T, cat *catalog.Catalog, gen *datagen.Generator, key string) *Histogram {
 	t.Helper()
 	table, column, _ := strings.Cut(key, ".")
@@ -182,21 +183,4 @@ func TestFirstReadFailureIsReturned(t *testing.T) {
 		}
 	}()
 	st.Histogram("t", "c")
-}
-
-// BenchmarkColumnHistogram measures one column's first read: sampling,
-// sorting and bucketing the 20,000-value sample, the cost a store defers
-// from Build to the column's first reader.
-func BenchmarkColumnHistogram(b *testing.B) {
-	cat := catalog.NewTPCH(0.1)
-	gen := datagen.New(cat, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		st := Build(cat, gen)
-		b.StartTimer()
-		if st.Histogram("lineitem", "l_shipdate") == nil {
-			b.Fatal("missing lineitem.l_shipdate")
-		}
-	}
 }

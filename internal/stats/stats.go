@@ -14,8 +14,9 @@ import (
 //
 // A column's histogram is built on its first read: Build only records how
 // to sample each column, and Histogram, SelectivityLE/GE and
-// ValueForSelectivityLE/GE sample, sort and bucket the column the first
-// time they touch it. Parameterized predicates take their selectivities
+// ValueForSelectivityLE/GE sample and bucket the column the first time
+// they touch it (sampleHistogram: by selection, without sorting the
+// sample). Parameterized predicates take their selectivities
 // from the request's sVector, so most columns are never read at all. The
 // result does not depend on when or in which order columns are read:
 // datagen seeds each column's sample from its own "table.column" name.
@@ -73,11 +74,11 @@ func Build(cat *catalog.Catalog, gen *datagen.Generator) *Store {
 		for _, col := range t.Columns {
 			table, column := t.Name, col.Name
 			s.cells[table+"."+column] = &cell{build: func() (*Histogram, error) {
-				vals, err := gen.ColumnSample(table, column, sample)
+				vals, err := gen.ColumnDraw(table, column, sample)
 				if err != nil {
 					return nil, err
 				}
-				return BuildHistogram(vals, DefaultBuckets)
+				return sampleHistogram(vals, DefaultBuckets)
 			}}
 		}
 	}

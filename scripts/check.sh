@@ -11,8 +11,9 @@
 #   ./scripts/check.sh -bench   # additionally run the same-run benchmark gates
 #   ./scripts/check.sh -chaos   # additionally run the full chaos profiles
 #                               # and fuzz smokes of the /v1/plan decoder
-#                               # (20 s), response encoder (10 s) and
-#                               # snapshot import (10 s)
+#                               # (20 s), response encoder (10 s),
+#                               # snapshot import (10 s) and histogram
+#                               # build (20 s)
 #
 # The short chaos profile (fault-injected serving, docs/ROBUSTNESS.md) is
 # part of the default test suite; -chaos runs the long streams.
@@ -100,10 +101,20 @@ case "${1:-}" in
     go test ./internal/server/ -run '^$' -benchmem \
         -bench 'BenchmarkAdminAdvance$|BenchmarkMetricsScrape$'
     # Set-up: the four systems plus the 90-template suite, and the first
-    # read of one column's histogram, where the sampling cost now lands
-    # (PERF.md "Set-up: statistics on demand"). Report only.
+    # read of one column's histogram, where the sampling cost now lands,
+    # for a column of each sampler distribution (PERF.md "Set-up:
+    # statistics on demand", "Histograms by selection"). Report only.
     go test ./internal/suite/ -run '^$' -benchmem -bench 'BenchmarkNewSystems$'
-    go test ./internal/stats/ -run '^$' -benchmem -bench 'BenchmarkColumnHistogram$'
+    go test ./internal/stats/ -run '^$' -benchmem -bench 'BenchmarkColumnHistogram/'
+    # The same build on the request path: the first Process after a
+    # statistics resample on a template with a constant predicate, on a
+    # new SCR (cold: it optimizes and builds the column's histogram) and
+    # on one warmed before the resample. Report only.
+    go test ./internal/core/ -run '^$' -benchmem -benchtime 200x \
+        -bench 'BenchmarkFirstProcessAfterResample/'
+    # A selectivity-check hit at 10, 1k and 100k cached instances (PERF.md
+    # "Selectivity hit by cache size"). Report only.
+    go test ./internal/core/ -run '^$' -benchmem -bench 'BenchmarkSelectivityHit/'
     # Set-up: n names in scattered order attached to an empty Directory,
     # and the 90 suite templates registered into a fresh Server (PERF.md
     # "Set-up: registration"). Report only.
@@ -181,6 +192,10 @@ case "${1:-}" in
     # on restart: no panic, a rejected snapshot leaves the cache empty, an
     # accepted one serves valid instances and re-exports a fixed point.
     go test -run '^$' -fuzz '^FuzzImport$' -fuzztime 10s ./internal/core/
+    # Fuzz smoke of the histogram build by selection: bit for bit the
+    # sort-based build's histogram, or the same rejection, for any sample
+    # and bucket count.
+    go test -run '^$' -fuzz '^FuzzHistogram$' -fuzztime 20s ./internal/stats/
     ;;
 esac
 
