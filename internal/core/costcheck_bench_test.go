@@ -95,8 +95,8 @@ func (r *costCheckRig) scr(b *testing.B) *core.SCR {
 }
 
 // BenchmarkCostCheck measures the read path on never-seen vectors at 64,
-// 512 and 4,096 cached instances: the indexed selectivity check, the
-// cost-check candidate scan, and the recosts of up to 8 candidates.
+// 512 and 4,096 cached instances: the selectivity pass, the cost-check
+// candidate scan, and the recosts of up to 8 candidates.
 // ProbeCheck runs exactly Process's read path without mutating the cache,
 // so every iteration sees the same cache.
 func BenchmarkCostCheck(b *testing.B) {

@@ -36,11 +36,11 @@ import (
 // slice is append-only: the published snapshot shares its backing array,
 // with the snapshot's length fixed at publication time, so appends land
 // beyond every published element and flushLocked can extend the previous
-// snapshot — merging only the appended entries into the selectivity
-// index — instead of rebuilding O(n log n) from scratch. Any mutation
-// that is not an append (eviction, sweep, import, plan-list
-// change) must install a freshly allocated slice and set d.structural,
-// which forces the next flush down the full-rebuild path.
+// snapshot — folding only the appended entries' anchors into its anchor
+// bounds — instead of rescanning the whole list. Any mutation that is
+// not an append (eviction, sweep, import, plan-list change) must install
+// a freshly allocated slice and set d.structural, which forces the next
+// flush to recompute the bounds over the whole list.
 
 // publishCoalesceWindow bounds how many publication marks may batch into
 // one flush while a writer stays inside a single critical section. It is
@@ -81,7 +81,9 @@ type writeDomain struct {
 	logs []float64
 
 	// structural records that a non-append mutation happened since the
-	// last flush, forcing a full snapshot rebuild.
+	// last flush: the next flush recomputes the anchor bounds over the
+	// whole list, since an append-only batch's fold cannot tell what was
+	// removed.
 	structural bool
 
 	// pending counts publication marks since the last flush. It is an
@@ -142,11 +144,11 @@ func (d *writeDomain) publishLocked() {
 // and publishes it with one atomic store, bumping the version — once for
 // the whole batch of marks accumulated since the previous flush. A flush
 // with no pending marks is a no-op, so unlock's unconditional flush costs
-// nothing on read-only sections. When the batch was append-only (no
-// structural mutation), the previous snapshot is extended in place:
-// instances and plan list are shared, and only the appended entries are
-// merged into the selectivity index — O(n + k log k) instead of the full
-// O(n log n) rebuild. Caller holds the domain mutex.
+// nothing on read-only sections. The snapshot shares the master's
+// instance, log and plan slices; when the batch was append-only (no
+// structural mutation), only the appended entries' anchors are folded
+// into the previous snapshot's anchor bounds. Caller holds the domain
+// mutex.
 //
 //lint:allow hotalloc writer-path snapshot rebuild, amortized against the mutation batch that triggered it
 func (d *writeDomain) flushLocked() {
@@ -165,17 +167,10 @@ func (d *writeDomain) flushLocked() {
 		version:   1,
 		epoch:     d.scr.statsEpoch(),
 	}
-	switch {
-	case prev == nil || d.structural || len(d.instances) < len(prev.instances):
-		next.index = buildSelIndex(d.instances)
+	if prev == nil || d.structural || len(d.instances) < len(prev.instances) {
 		next.minEpoch, next.minS = anchorBounds(d.instances, math.MaxUint64, 1)
-	case len(d.instances) == len(prev.instances):
-		// Marks without new entries (defensive publish on an error path,
-		// anchor-only batches): reuse the previous index outright.
-		next.index = prev.index
-		next.minEpoch, next.minS = prev.minEpoch, prev.minS
-	default:
-		next.index = mergeSelIndex(&prev.index, d.instances, len(prev.instances))
+	} else {
+		// An append-only batch: fold in only the appended anchors.
 		next.minEpoch, next.minS = anchorBounds(d.instances[len(prev.instances):], prev.minEpoch, prev.minS)
 	}
 	if next.minEpoch < d.scr.costEpoch() {
@@ -210,56 +205,9 @@ func anchorBounds(insts []*instanceEntry, minEpoch uint64, minS float64) (uint64
 	return minEpoch, minS
 }
 
-// mergeSelIndex extends a published snapshot's selectivity index with the
-// k entries appended since that snapshot was built. The previous index is
-// already weight-sorted and the appended entries' list positions all
-// follow the published ones, so sorting the k newcomers and merging —
-// previous entries first on weight ties — reproduces buildSelIndex's
-// stable sort exactly, in O(n + k log k).
-func mergeSelIndex(prev *selIndex, insts []*instanceEntry, oldLen int) selIndex {
-	n := len(insts)
-	k := n - oldLen
-	idx := selIndex{
-		keys: make([]float64, 0, n),
-		pos:  make([]int32, 0, n),
-	}
-	if k == 1 {
-		// The common store: one new entry, placed after every previous
-		// entry of equal weight by a binary search.
-		w := regionWeight(insts[oldLen].v)
-		i := sort.Search(oldLen, func(i int) bool { return prev.keys[i] > w })
-		idx.keys = append(append(append(idx.keys, prev.keys[:i]...), w), prev.keys[i:]...)
-		idx.pos = append(append(append(idx.pos, prev.pos[:i]...), int32(oldLen)), prev.pos[i:]...)
-		return idx
-	}
-	type add struct {
-		w   float64
-		pos int32
-	}
-	adds := make([]add, 0, k)
-	for i := oldLen; i < n; i++ {
-		adds = append(adds, add{w: regionWeight(insts[i].v), pos: int32(i)})
-	}
-	sort.SliceStable(adds, func(a, b int) bool { return adds[a].w < adds[b].w })
-	i, j := 0, 0
-	for i < oldLen || j < k {
-		if j >= k || (i < oldLen && prev.keys[i] <= adds[j].w) {
-			idx.keys = append(idx.keys, prev.keys[i])
-			idx.pos = append(idx.pos, prev.pos[i])
-			i++
-		} else {
-			idx.keys = append(idx.keys, adds[j].w)
-			idx.pos = append(idx.pos, adds[j].pos)
-			j++
-		}
-	}
-	return idx
-}
-
 // insertPlanLocked adds a plan to the master plan set, rebuilding the
 // sorted plan list copy-on-write. Adding a plan reorders no instance, so
-// it leaves the selectivity index to the next flush's merge. Caller holds
-// the domain mutex and must publish.
+// it is not structural. Caller holds the domain mutex and must publish.
 func (d *writeDomain) insertPlanLocked(pe *planEntry) {
 	d.plans[pe.fp] = pe
 	sorted := make([]*planEntry, 0, len(d.plans))

@@ -261,9 +261,9 @@ func TestSnapshotImmutableUnderMultiTemplateChurn(t *testing.T) {
 		if s.Stats().Evictions+swept[i].Load() == 0 {
 			t.Fatalf("template %d: no eviction or sweep drop, the churn never rewrote the instance list", i)
 		}
-		if len(final.index.keys) != len(final.instances) {
-			t.Fatalf("template %d index covers %d entries, instance list has %d",
-				i, len(final.index.keys), len(final.instances))
+		if d := s.eng.Dimensions(); len(final.logs) != d*len(final.instances) {
+			t.Fatalf("template %d log-selectivity array holds %d values, instance list needs %d×%d",
+				i, len(final.logs), len(final.instances), d)
 		}
 	}
 }

@@ -70,8 +70,7 @@ func glFactors(svE, svC []float64) (g, l float64) {
 // SelectivityRegionArea returns the area of the 2-dimensional selectivity
 // based λ-optimal region around an instance with selectivities (s1, s2):
 // (λ − 1/λ)·ln λ · s1·s2 (§5.3). Tests check the selectivity check's
-// region against it; the selectivity index keys on the same product of
-// selectivities (regionWeight).
+// region against it.
 func SelectivityRegionArea(lambda, s1, s2 float64) float64 {
 	if lambda <= 1 {
 		return 0

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -77,9 +76,8 @@ func (c0 *config) lambdaFor(c float64) float64 {
 
 // lambdaMax is the loosest sub-optimality bound any instance can be held
 // to: λ itself, or the dynamic range's upper end. It bounds the
-// selectivity-index search window — an entry can only pass the
-// selectivity check for a query whose region weight is within a λmax
-// factor of the entry's (see selHit).
+// selectivity check's log distance: an entry can only pass it for a
+// query within log(λmax/S) of the entry (the snapshot's selCut, getPlan).
 func (c0 *config) lambdaMax() float64 {
 	if c0.dynamic != nil {
 		return c0.dynamic.Max
@@ -193,7 +191,8 @@ type cacheSnapshot struct {
 	// §6.1).
 	instances []*instanceEntry
 	// logs is log si(V) of every instance, d per entry in list order: the
-	// cost-check scan reads log G·L from it (getPlan).
+	// selectivity pass and the cost-check scan read log G·L from it
+	// (getPlan).
 	logs []float64
 	// minEpoch and minS are lower bounds on the instances' anchor epochs
 	// and sub-optimalities (S capped at 1; anchorBounds). They tell the
@@ -205,9 +204,6 @@ type cacheSnapshot struct {
 	// plans is the plan list in ascending fingerprint order — the
 	// deterministic iteration the degraded fallback and Export need.
 	plans []*planEntry
-	// index orders the same instance entries by anchor region weight for
-	// the O(log n + candidates) selectivity hit test (selHit).
-	index selIndex
 	// version counts publications. Under coalescing one publication may
 	// cover a whole batch of mutations (a k-plan sweep, an import), but a
 	// mutation is never visible to readers without a version move, so the
@@ -664,108 +660,6 @@ func (s *SCR) readPath(ctx context.Context, sv []float64, pr *pricing) (*Decisio
 	return dec, snap.version, err
 }
 
-// regionWeight is the selectivity index's key: the product ∏ si of an
-// instance's selectivities (§5.3's region-area formula without its λ
-// factor, which every entry shares).
-func regionWeight(sv []float64) float64 {
-	w := 1.0
-	for _, s := range sv {
-		w *= s
-	}
-	return w
-}
-
-// selIndex orders a snapshot's instance entries by anchor region weight
-// ∏ v_i, turning the selectivity hit test into a binary search plus a
-// short window scan. The soundness argument: the check g·l ≤ λ/S with
-// S ≥ 1 and λ ≤ λmax can only pass when g·l ≤ λmax, and
-//
-//	g·l = ∏ max(αi, 1/αi) ≥ max(∏ αi, ∏ 1/αi) = max(wq/wv, wv/wq)
-//
-// with αi = si(qc)/si(qe), wq = ∏ si(qc), wv = ∏ si(qe). So every entry
-// that can pass for a query with region weight wq has its own weight
-// within [wq/λmax, wq·λmax] — the window selHit searches. Entries outside
-// it are rejected without evaluating a single per-dimension factor. The
-// index holds no pointers: entries are named by list position, so a
-// flush copies it without write barriers and the collector never scans
-// it.
-type selIndex struct {
-	keys []float64 // region weight per entry, ascending
-	pos  []int32   // the entry at keys[i]: its position in the instance list
-}
-
-// buildSelIndex constructs the index over insts. Ties in region weight
-// keep instance-list order so the window walk below stays deterministic.
-func buildSelIndex(insts []*instanceEntry) selIndex {
-	n := len(insts)
-	if n == 0 {
-		return selIndex{}
-	}
-	w := make([]float64, n)
-	ord := make([]int32, n)
-	for i, e := range insts {
-		w[i] = regionWeight(e.v)
-		ord[i] = int32(i)
-	}
-	sort.SliceStable(ord, func(a, b int) bool { return w[ord[a]] < w[ord[b]] })
-	idx := selIndex{keys: make([]float64, n), pos: ord}
-	for i, p := range ord {
-		idx.keys[i] = w[p]
-	}
-	return idx
-}
-
-// selWindowSlop widens the index window bounds multiplicatively to absorb
-// the float rounding difference between the per-dimension product g·l and
-// the region-weight ratio computed as two separate products. An entry
-// sitting exactly on the λmax boundary must not be excluded by one ULP.
-const selWindowSlop = 1e-9
-
-// selHit is the indexed selectivity check: it searches the snapshot's
-// index window [wq/λmax, wq·λmax] and serves the passing entry that comes
-// first in the instance list (identical to what the full scan would have
-// served). It returns the number of entries whose factors were evaluated
-// (the SelChecks accounting), and (nil, n) on a miss — which, by the
-// window invariant on selIndex, proves NO entry passes the selectivity
-// check, so the caller can go straight to cost-check candidate
-// collection. A probe leaves the served entry's usage count alone. sv
-// must be valid (checkSVector): Process and ProbeCheck check it first.
-func (s *SCR) selHit(snap *cacheSnapshot, sv []float64, probe bool) (*Decision, int) {
-	idx := &snap.index
-	if len(idx.keys) == 0 {
-		return nil, 0
-	}
-	wq := regionWeight(sv)
-	if !(wq > 0) || math.IsInf(wq, 0) { // underflow: leave it to the full scan
-		return nil, 0
-	}
-	lamMax := s.cfg.lambdaMax()
-	lo := wq / lamMax * (1 - selWindowSlop)
-	hi := wq * lamMax * (1 + selWindowSlop)
-	examined := 0
-	var (
-		best    *instanceEntry
-		bestAnc *anchor
-		bestPos = int32(math.MaxInt32)
-	)
-	for i := sort.SearchFloat64s(idx.keys, lo); i < len(idx.keys) && idx.keys[i] <= hi; i++ {
-		e := snap.instances[idx.pos[i]]
-		examined++
-		a := e.anc.Load()
-		g, l := glFactors(e.v, sv)
-		if g*l <= s.cfg.lambdaFor(a.c)/a.s && idx.pos[i] < bestPos {
-			best, bestAnc, bestPos = e, a, idx.pos[i]
-		}
-	}
-	if best == nil {
-		return nil, examined
-	}
-	if !probe {
-		best.u.Add(1)
-	}
-	return &Decision{Plan: best.pp.cp, Via: ViaSelectivity, Epoch: bestAnc.epoch}, examined
-}
-
 // logSlop widens the cost-check prefilter's log-space bound to absorb the
 // rounding difference between Σ|log si(q) − log si(e)| and the log of G·L
 // computed as products of ratios, so an entry exactly on a bound is never
@@ -813,23 +707,23 @@ func logDistances(lq, logs, dists []float64) {
 }
 
 // kthDistance returns the k-th smallest log distance (logDistances) from
-// lq to the instances packed in logs, +Inf when there are fewer than k,
+// lq to the n instances packed in logs, +Inf when there are fewer than k,
 // and 0 when k is 0. dists is its working buffer, filled chunk by chunk;
-// when every instance fits, it ends holding all their distances. k must
-// not exceed 8.
-func kthDistance(lq, logs []float64, k int, dists []float64) float64 {
+// when the n instances fit it, it must hold their distances already, as
+// getPlan's selectivity pass leaves them. k must not exceed 8.
+func kthDistance(lq, logs []float64, n, k int, dists []float64) float64 {
+	if k == 0 {
+		return 0
+	}
 	d := len(lq)
 	inf := math.Float64bits(math.Inf(1))
 	top := [8]uint64{inf, inf, inf, inf, inf, inf, inf, inf}
-	for base := 0; base < len(logs); base += len(dists) * d {
-		chunk := dists[:min(len(dists), (len(logs)-base)/d)]
-		logDistances(lq, logs[base:], chunk)
-		if k > 0 {
-			top = smallest8(top, chunk)
+	for base := 0; base < n; base += len(dists) {
+		chunk := dists[:min(len(dists), n-base)]
+		if n > len(dists) {
+			logDistances(lq, logs[base*d:], chunk)
 		}
-	}
-	if k == 0 {
-		return 0
+		top = smallest8(top, chunk)
 	}
 	return math.Float64frombits(top[k-1])
 }
@@ -856,13 +750,13 @@ func smallest8(top [8]uint64, dists []float64) [8]uint64 {
 	return [8]uint64{t0, t1, t2, t3, t4, t5, t6, t7}
 }
 
-// getPlan is Algorithm 1: the selectivity check over the instance list
-// (served through the snapshot's selectivity index), then the cost check
-// over the most promising candidates in increasing GL order. Returns
-// (nil, nil) if no cached plan can be inferred λ-optimal. Runs lock-free
-// over the immutable snapshot; it mutates only atomic fields, and none at
-// all when probe is set: a probe (ProbeCheck) skips usage counts,
-// quarantine flags and counters, but chooses exactly as Process would.
+// getPlan is Algorithm 1: the selectivity check over the instance list,
+// then the cost check over the most promising candidates in increasing
+// GL order. Returns (nil, nil) if no cached plan can be inferred
+// λ-optimal. Runs lock-free over the immutable snapshot; it mutates only
+// atomic fields, and none at all when probe is set: a probe (ProbeCheck)
+// skips usage counts, quarantine flags and counters, but chooses exactly
+// as Process would.
 //
 // Epoch semantics during revalidation lag: an entry anchored under an
 // older epoch still serves through the selectivity check — its λ bound
@@ -887,17 +781,50 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot, pr
 		}
 	}()
 
-	// Fast path: the indexed hit test. On the common warm-cache outcome —
-	// a selectivity-check hit — this touches O(log n) keys plus the
-	// entries inside the λmax window and returns without scanning the
-	// instance list at all.
-	dec, n := s.selHit(snap, sv, probe)
-	examined += n
-	if dec != nil {
-		return dec, nil
+	// The selectivity pass. log G·L = Σ|log si(q) − log si(e)|, read from
+	// the snapshot's flat log array, and an entry that passes the check
+	// has log G·L ≤ log(λ(C)/S) ≤ log(λmax/minS) = selCut, whether its
+	// anchor lags or not. So the pass computes the distances len(dists)
+	// entries at a time, runs the exact test only on the entries within
+	// selCut (few are, so the branch on it predicts well), and serves the
+	// first in list order that passes: the entry a plain scan of the list
+	// would serve. A warm cache's common outcome, a hit, returns here. A vector wider than lq, or a snapshot whose logs
+	// do not cover its list, skips the pass; the unfiltered scan below is
+	// then the exact check. When the list fits one chunk, dists keeps its
+	// distances for the cost check below.
+	insts := snap.instances
+	d := len(sv)
+	var (
+		lq    [16]float64
+		dists [64]float64
+	)
+	logPass := d <= len(lq) && len(snap.logs) == d*len(insts)
+	if logPass {
+		for j, x := range sv {
+			lq[j] = math.Log(x)
+		}
+		selCut := snap.selCut + logSlop
+		for base := 0; base < len(insts); base += len(dists) {
+			chunk := insts[base:min(base+len(dists), len(insts))]
+			logDistances(lq[:d], snap.logs[base*d:], dists[:len(chunk)])
+			for c, dist := range dists[:len(chunk)] {
+				if dist > selCut {
+					continue
+				}
+				e := chunk[c]
+				a := e.anc.Load()
+				g, l := glFactors(e.v, sv)
+				examined++
+				if g*l <= s.cfg.lambdaFor(a.c)/a.s {
+					if !probe {
+						e.u.Add(1)
+					}
+					return &Decision{Plan: e.pp.cp, Via: ViaSelectivity, Epoch: a.epoch}, nil
+				}
+			}
+		}
 	}
 
-	insts := snap.instances
 	cur := s.costEpoch()
 	type cand struct {
 		e    *instanceEntry
@@ -957,38 +884,28 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot, pr
 		lagGL   float64
 	)
 
-	// The prefilter. log G·L = Σ|log si(q) − log si(e)|, read from the
-	// snapshot's flat log array, bounds from below what the exact logic
-	// can do with an entry: it cannot pass the selectivity check beyond
-	// log(λmax/S) (λ(C) ≤ λmax, S ≥ minS), and it cannot make the final
-	// candidate list beyond the k-th smallest distance, since the k
-	// nearest entries all have smaller keys. So a first, flat pass finds
-	// the k-th smallest distance, and the loop below runs the exact logic,
-	// in list order, only on entries within cut. The filter is off (cut
-	// +Inf) when that argument fails: with the L order (keys are not
-	// G·L), with a candidate list beyond the frame buffer, when an entry
-	// may lag (every lagging entry competes for the fallback, whatever
-	// its distance), and for a vector wider than lq; and when there are
-	// no more entries than candidates, since it would reject none.
-	// A quarantined entry among the k nearest cannot be a candidate, so
-	// the k-th distance no longer bounds the list: meeting one within
-	// kCut restarts the scan unfiltered. One farther out moves no bound
-	// and is passed over like any other entry. Both passes compute
-	// distances len(dists) entries at a time; when the whole list fits,
-	// the second reads the first's.
-	var (
-		lq    [16]float64
-		dists [64]float64
-	)
-	d := len(sv)
+	// The prefilter. The log distance also bounds from below what the
+	// exact logic can do with an entry: it cannot pass the selectivity
+	// check beyond selCut, and it cannot make the final candidate list
+	// beyond the k-th smallest distance, since the k nearest entries all
+	// have smaller keys. So a flat pass finds the k-th smallest distance,
+	// and the loop below runs the exact logic, in list order, only on
+	// entries within cut. The filter is off (cut +Inf) when that argument
+	// fails: with the L order (keys are not G·L), with a candidate list
+	// beyond the frame buffer, when an entry may lag (every lagging entry
+	// competes for the fallback, whatever its distance), and when the
+	// selectivity pass did not run; and when there are no more entries
+	// than candidates, since it would reject none. A quarantined entry
+	// among the k nearest cannot be a candidate, so the k-th distance no
+	// longer bounds the list: meeting one within kCut restarts the scan
+	// unfiltered. One farther out moves no bound and is passed over like
+	// any other entry. When the whole list fits one chunk, the k-th
+	// selection and the scan read the selectivity pass's distances.
+	//
 	// cut is the filter's bound; kCut bounds the k nearest entries.
 	cut, kCut := math.Inf(1), math.Inf(1)
-	if !s.cfg.orderByL && keep <= len(buf) && len(insts) > keep && snap.minEpoch >= cur &&
-		d <= len(lq) && len(snap.logs) == d*len(insts) {
-		for j, x := range sv {
-			lq[j] = math.Log(x)
-		}
-		kth := kthDistance(lq[:d], snap.logs, keep, dists[:])
+	if logPass && !s.cfg.orderByL && keep <= len(buf) && len(insts) > keep && snap.minEpoch >= cur {
+		kth := kthDistance(lq[:d], snap.logs, len(insts), keep, dists[:])
 		cut, kCut = max(kth, snap.selCut)+logSlop, kth+logSlop
 	}
 
@@ -997,7 +914,6 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot, pr
 	// cut, gathered without a branch per entry, since the comparison's
 	// outcome is random in list order.
 	var near [len(dists)]int32
-	scanned := examined
 	for restart := true; restart; {
 		restart = false
 	scan:
@@ -1029,7 +945,7 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot, pr
 					// Rescan without the filter. Nothing has been touched
 					// but the candidate list: no entry lags, and a pass
 					// would have returned.
-					examined, skipped = scanned, 0
+					skipped = 0
 					cut = math.Inf(1)
 					cands = cands[:0]
 					restart = true
@@ -1037,14 +953,14 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot, pr
 				}
 				a := e.anc.Load()
 				g, l := glFactors(e.v, sv)
+				examined++
 				lam := s.cfg.lambdaFor(a.c)
 				if g*l <= lam/a.s {
-					// selHit proved no entry passed, but anchors are live
-					// atomics: a concurrent re-anchor (revalidation
-					// loosening S) can create a pass between the index
-					// walk and this scan. Honor it. The scan considered
-					// the chunk's entries up to this one.
-					examined += int(c) + 1
+					// The selectivity pass found no entry passing, but
+					// anchors are live atomics: a concurrent re-anchor
+					// (revalidation loosening S) can create a pass between
+					// that pass and this scan. Honor it. The scan
+					// considered the chunk's entries up to this one.
 					skipped += int(c) - j
 					if !probe {
 						e.u.Add(1)
@@ -1066,7 +982,6 @@ func (s *SCR) getPlan(ctx context.Context, sv []float64, snap *cacheSnapshot, pr
 				}
 				insert(cand{e: e, a: a, key: key, g: g, l: l})
 			}
-			examined += len(chunk)
 			skipped += len(chunk) - m
 		}
 	}

@@ -12,7 +12,7 @@ import (
 
 // importSCR returns an SCR (λ = 1.1, violation detection on) holding the
 // rig's seeded instances, installed by one Import so that a large cache
-// costs one index build instead of one merge per instance.
+// costs one snapshot flush instead of one per instance.
 func (r *costCheckRig) importSCR(b *testing.B) *core.SCR {
 	b.Helper()
 	type instance struct {
@@ -53,9 +53,9 @@ func (r *costCheckRig) importSCR(b *testing.B) *core.SCR {
 }
 
 // BenchmarkSelectivityHit measures a selectivity-check hit at 10, 1k and
-// 100k cached instances of Table 3's template: the read path's indexed
-// selectivity check finding an anchor for a request near a cached
-// vector. Each request is a cached vector with every selectivity moved
+// 100k cached instances of Table 3's template: the read path's
+// log-distance selectivity pass finding an anchor for a request near a
+// cached vector. Each request is a cached vector with every selectivity moved
 // by at most 1%, so its own anchor's G·L is at most 1.01³ < λ and the
 // selectivity check can serve it; sel-hit-pct reports the share it did
 // serve. ProbeCheck runs Process's read path without touching the cache,

@@ -13,8 +13,8 @@ import (
 
 // snapshotFingerprint deep-copies everything an RCU reader may dereference
 // from a published snapshot: the entry pointer slices, each entry's
-// selectivity vector and plan binding, the plan list, and the selectivity
-// index arrays. Atomic fields (anchor, usage, quarantine) are the designed
+// selectivity vector and plan binding, the plan list, and the
+// log-selectivity array. Atomic fields (anchor, usage, quarantine) are the designed
 // mutable channel and are deliberately excluded.
 type snapshotFingerprint struct {
 	version int64
@@ -23,8 +23,6 @@ type snapshotFingerprint struct {
 	vecs    [][]float64
 	pps     []*planEntry
 	plans   []*planEntry
-	idxKeys []float64
-	idxPos  []int32
 	logs    []float64
 	planFPs []string
 }
@@ -35,8 +33,6 @@ func fingerprintSnapshot(snap *cacheSnapshot) snapshotFingerprint {
 		epoch:   snap.epoch,
 		insts:   append([]*instanceEntry(nil), snap.instances...),
 		plans:   append([]*planEntry(nil), snap.plans...),
-		idxKeys: append([]float64(nil), snap.index.keys...),
-		idxPos:  append([]int32(nil), snap.index.pos...),
 		logs:    append([]float64(nil), snap.logs...),
 	}
 	for _, e := range snap.instances {
@@ -83,14 +79,6 @@ func (f *snapshotFingerprint) verify(t *testing.T, snap *cacheSnapshot) {
 	for i, pe := range snap.plans {
 		if pe != f.plans[i] || pe.fp != f.planFPs[i] {
 			t.Fatalf("snapshot plan %d mutated after publication", i)
-		}
-	}
-	if len(snap.index.keys) != len(f.idxKeys) {
-		t.Fatalf("snapshot index resized: %d -> %d", len(f.idxKeys), len(snap.index.keys))
-	}
-	for i := range snap.index.keys {
-		if snap.index.keys[i] != f.idxKeys[i] || snap.index.pos[i] != f.idxPos[i] {
-			t.Fatalf("snapshot index entry %d mutated after publication", i)
 		}
 	}
 	if len(snap.logs) != len(f.logs) {
@@ -211,8 +199,8 @@ func TestSnapshotImmutableUnderWriterChurn(t *testing.T) {
 	if s.Stats().Evictions+swept.Load() == 0 {
 		t.Fatal("no eviction or sweep drop: the churn never rewrote the instance list")
 	}
-	if len(final.index.keys) != len(final.instances) {
-		t.Fatalf("final index covers %d entries, instance list has %d",
-			len(final.index.keys), len(final.instances))
+	if d := s.eng.Dimensions(); len(final.logs) != d*len(final.instances) {
+		t.Fatalf("final log-selectivity array holds %d values, instance list needs %d×%d",
+			len(final.logs), len(final.instances), d)
 	}
 }

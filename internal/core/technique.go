@@ -172,12 +172,15 @@ type Stats struct {
 	// (redundancy checks in manageCache); a plan the failed cost check
 	// already priced at the instance is not recosted again.
 	ManageRecosts int64
-	// SelChecks counts instance-list entries examined by selectivity
-	// checks (getPlan scanning overhead).
+	// SelChecks counts the instance-list entries whose G·L factors
+	// getPlan evaluated (its scanning overhead): in the selectivity pass,
+	// the entries within its log-distance bound, and in the cost-check
+	// scan, the entries its prefilter kept. An entry both visit counts
+	// twice.
 	SelChecks int64
-	// ScanSkipped counts the entries among SelChecks that the cost-check
-	// scan's prefilter rejected on their log G·L distance alone, without
-	// evaluating their factors or reading their anchors.
+	// ScanSkipped counts the entries the cost-check scan's prefilter
+	// rejected on their log G·L distance alone, without evaluating their
+	// factors or reading their anchors.
 	ScanSkipped int64
 	// CurPlans is the number of plans currently cached; MaxPlans is the
 	// high-water mark (the paper's numPlans).

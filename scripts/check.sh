@@ -8,7 +8,8 @@
 #
 #   ./scripts/check.sh          # gofmt + vet + build + tests + race pass + planbench
 #   ./scripts/check.sh -lint    # additionally run pqolint + extra analyzers
-#   ./scripts/check.sh -bench   # additionally run the same-run benchmark gates
+#   ./scripts/check.sh -bench   # additionally diff pqobench against its golden
+#                               # output and run the same-run benchmark gates
 #   ./scripts/check.sh -chaos   # additionally run the full chaos profiles
 #                               # and fuzz smokes of the /v1/plan decoder
 #                               # (20 s), response encoder (10 s),
@@ -75,7 +76,17 @@ case "${1:-}" in
     run_lint
     ;;
 -bench)
-    # Fast smoke over the memo hot path first: a regression in Optimize/
+    # The reproduction's output, wall-clock fields masked, must match the
+    # golden file byte for byte: a changed decision, count or ratio in
+    # any figure or table of `pqobench -experiment all` fails here.
+    GOLDEN=internal/experiments/testdata/pqobench-all.golden
+    if ! ./scripts/pqobench-golden.sh | diff -u "$GOLDEN" -; then
+        echo "check.sh: FAIL pqobench output differs from $GOLDEN; if the change is intended, refresh it with"
+        echo "    ./scripts/pqobench-golden.sh > $GOLDEN"
+        exit 1
+    fi
+    echo "check.sh: pqobench output matches $GOLDEN"
+    # Fast smoke over the memo hot path: a regression in Optimize/
     # Recost cost or allocations shows up here in seconds (docs/PERF.md).
     go test ./internal/memo/ -run '^$' -benchtime 100x -benchmem \
         -bench 'BenchmarkOptimize$|BenchmarkRecost$'
