@@ -79,7 +79,7 @@ func main() {
 		st.OptCalls, st.Instances, st.CurPlans, st.MemoryBytes)
 
 	// Bonus: binding real parameter values instead of selectivities.
-	v, err := sys.Stats.ValueForSelectivityLE("lineitem", "l_shipdate", 0.02)
+	v, err := sys.Opt.StatsStore().ValueForSelectivityLE("lineitem", "l_shipdate", 0.02)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,16 +21,13 @@ import (
 // RCU-published snapshot, so the read path crosses the template boundary
 // without a lock either.
 //
-// Publication protocol (coalescing). publishLocked no longer rebuilds the
-// snapshot eagerly: it records a publication mark (pending) and defers
-// the rebuild+store to flushLocked, which runs when the critical section
-// ends (unlock) or every publishCoalesceWindow marks mid-section,
-// whichever comes first. Mutations batched inside one critical section —
-// a sweep removing k plans, an import installing a whole cache, a
-// revalidation replacement followed by cache management — publish once,
-// and readers never observe a snapshot staler than one mutation batch:
-// visibility IS publication, and every writer flushes before releasing
-// the domain mutex.
+// Publication protocol. Every critical section of a write domain ends in
+// unlock, and unlock publishes: it rebuilds the snapshot from the master
+// state and stores it before releasing the mutex. Mutations batched inside
+// one critical section — a sweep removing k plans, an import installing a
+// whole cache, a revalidation replacement followed by cache management —
+// therefore publish once, and readers never observe a snapshot staler than
+// one critical section.
 //
 // Incremental publication. Between two publications the master instance
 // slice is append-only: the published snapshot shares its backing array,
@@ -38,23 +35,16 @@ import (
 // beyond every published element and flushLocked can extend the previous
 // snapshot — folding only the appended entries' anchors into its anchor
 // bounds — instead of rescanning the whole list. Any mutation that is
-// not an append (eviction, sweep, import, plan-list change) must install
-// a freshly allocated slice and set d.structural, which forces the next
-// flush to recompute the bounds over the whole list.
-
-// publishCoalesceWindow bounds how many publication marks may batch into
-// one flush while a writer stays inside a single critical section. It is
-// a mid-section backstop: unlock always flushes, so the window only
-// matters for pathologically long batches (a sweep dropping hundreds of
-// plans), where it bounds how far readers can lag behind the writer.
-const publishCoalesceWindow = 64
+// not an append (eviction, sweep, import, plan-list change) installs a
+// freshly allocated slice, which no longer shares the snapshot's backing
+// array; flushLocked sees that and recomputes the bounds over the whole
+// list.
 
 // writeDomain owns one template's mutable plan-cache state: the writer
 // mutex, the master plan and instance lists, and the published snapshot
 // pointer. SCR embeds it by value and delegates every mutation to it;
 // nothing outside this type's methods may touch these fields (the
-// rcupublish analyzer enforces both the publish discipline and the
-// no-cross-domain-store rule).
+// rcupublish analyzer enforces the no-cross-domain-store rule).
 type writeDomain struct {
 	// scr points back to the owning SCR for configuration, engine access
 	// and counters. Set once in init, immutable afterwards.
@@ -80,20 +70,8 @@ type writeDomain struct {
 	// list's append-only discipline.
 	logs []float64
 
-	// structural records that a non-append mutation happened since the
-	// last flush: the next flush recomputes the anchor bounds over the
-	// whole list, since an append-only batch's fold cannot tell what was
-	// removed.
-	structural bool
-
-	// pending counts publication marks since the last flush. It is an
-	// atomic only so the analyzer's master-state detection skips it; it
-	// is always accessed under mu.
-	pending atomic.Int64
-
 	// snap is the published immutable view of the master state; never nil
-	// after init. Writers rebuild and swap it via publishLocked/
-	// flushLocked.
+	// after init. Writers rebuild and swap it in flushLocked.
 	snap atomic.Pointer[cacheSnapshot]
 }
 
@@ -103,7 +81,6 @@ type writeDomain struct {
 func (d *writeDomain) init(s *SCR) {
 	d.scr = s
 	d.plans = make(map[string]*planEntry)
-	d.publishLocked()
 	d.flushLocked()
 }
 
@@ -120,42 +97,27 @@ func (d *writeDomain) lock() {
 	d.scr.ctr.writerWaitNs.Add(time.Since(start).Nanoseconds())
 }
 
-// unlock flushes any pending publication marks and releases the writer
-// mutex. Flushing before the release is what bounds reader staleness to
-// one mutation batch: no mutation ever outlives its critical section
-// unpublished.
+// unlock publishes the critical section's mutations and releases the
+// writer mutex. Publishing before the release is what bounds reader
+// staleness to one critical section: no mutation ever outlives its
+// critical section unpublished.
 func (d *writeDomain) unlock() {
 	d.flushLocked()
 	d.mu.Unlock()
 }
 
-// publishLocked records that master state changed and readers must gain
-// visibility. Under coalescing the rebuild is deferred: the mark is
-// counted and flushLocked runs at the end of the critical section (or
-// every publishCoalesceWindow marks mid-section). Caller holds the
-// domain mutex.
-func (d *writeDomain) publishLocked() {
-	if d.pending.Add(1) >= publishCoalesceWindow {
-		d.flushLocked()
-	}
-}
-
 // flushLocked rebuilds the immutable cache snapshot from the master state
-// and publishes it with one atomic store, bumping the version — once for
-// the whole batch of marks accumulated since the previous flush. A flush
-// with no pending marks is a no-op, so unlock's unconditional flush costs
-// nothing on read-only sections. The snapshot shares the master's
-// instance, log and plan slices; when the batch was append-only (no
-// structural mutation), only the appended entries' anchors are folded
-// into the previous snapshot's anchor bounds. Caller holds the domain
-// mutex.
+// and publishes it with one atomic store, bumping the version. The
+// snapshot shares the master's instance, log and plan slices. When the
+// master instance list still shares the previous snapshot's backing array
+// (the same first element, a length no shorter), the section only
+// appended, and only the appended entries' anchors are folded into the
+// previous snapshot's anchor bounds; any other list was installed fresh
+// by a non-append mutation, and the bounds are recomputed over all of it.
+// Caller holds the domain mutex.
 //
-//lint:allow hotalloc writer-path snapshot rebuild, amortized against the mutation batch that triggered it
+//lint:allow hotalloc writer-path snapshot rebuild, amortized against the critical section that triggered it
 func (d *writeDomain) flushLocked() {
-	n := d.pending.Swap(0)
-	if n == 0 {
-		return
-	}
 	if len(d.plans) != len(d.plansSorted) {
 		panic("core: write-domain plan map and sorted plan list diverged")
 	}
@@ -167,28 +129,24 @@ func (d *writeDomain) flushLocked() {
 		version:   1,
 		epoch:     d.scr.statsEpoch(),
 	}
-	if prev == nil || d.structural || len(d.instances) < len(prev.instances) {
-		next.minEpoch, next.minS = anchorBounds(d.instances, math.MaxUint64, 1)
-	} else {
-		// An append-only batch: fold in only the appended anchors.
-		next.minEpoch, next.minS = anchorBounds(d.instances[len(prev.instances):], prev.minEpoch, prev.minS)
+	minEpoch, minS, from := uint64(math.MaxUint64), 1.0, 0
+	if prev != nil && len(prev.instances) > 0 && len(d.instances) >= len(prev.instances) &&
+		&d.instances[0] == &prev.instances[0] {
+		minEpoch, minS, from = prev.minEpoch, prev.minS, len(prev.instances)
 	}
-	if next.minEpoch < d.scr.costEpoch() {
-		// Revalidation re-anchors in place without a publication, so a
-		// lagging bound may be stale: recompute it before it disables
-		// the cost-check prefilter for the life of this snapshot.
+	next.minEpoch, next.minS = anchorBounds(d.instances[from:], minEpoch, minS)
+	if next.minEpoch < d.scr.costEpoch() && from > 0 {
+		// Revalidation re-anchors in place, so a lagging bound folded
+		// from the previous snapshot may be stale: recompute it before it
+		// disables the cost-check prefilter for the life of this snapshot.
 		next.minEpoch, next.minS = anchorBounds(d.instances, math.MaxUint64, 1)
 	}
 	next.selCut = math.Log(d.scr.cfg.lambdaMax() / next.minS)
 	if prev != nil {
 		next.version = prev.version + 1
 	}
-	d.structural = false
 	d.snap.Store(next)
 	d.scr.ctr.publishes.Add(1)
-	if n > 1 {
-		d.scr.ctr.coalesced.Add(n - 1)
-	}
 }
 
 // anchorBounds folds insts' anchors into the running bounds (minEpoch,
@@ -206,8 +164,7 @@ func anchorBounds(insts []*instanceEntry, minEpoch uint64, minS float64) (uint64
 }
 
 // insertPlanLocked adds a plan to the master plan set, rebuilding the
-// sorted plan list copy-on-write. Adding a plan reorders no instance, so
-// it is not structural. Caller holds the domain mutex and must publish.
+// sorted plan list copy-on-write. Caller holds the domain mutex.
 func (d *writeDomain) insertPlanLocked(pe *planEntry) {
 	d.plans[pe.fp] = pe
 	sorted := make([]*planEntry, 0, len(d.plans))
@@ -222,8 +179,7 @@ func (d *writeDomain) insertPlanLocked(pe *planEntry) {
 }
 
 // removePlanLocked drops a plan from the master plan set, rebuilding the
-// sorted plan list copy-on-write. Caller holds the domain mutex and must
-// publish.
+// sorted plan list copy-on-write. Caller holds the domain mutex.
 func (d *writeDomain) removePlanLocked(pe *planEntry) {
 	delete(d.plans, pe.fp)
 	sorted := make([]*planEntry, 0, len(d.plans))
@@ -233,13 +189,11 @@ func (d *writeDomain) removePlanLocked(pe *planEntry) {
 		}
 	}
 	d.plansSorted = sorted
-	d.structural = true
 }
 
 // addInstance appends an instance entry. Appends are the one mutation the
-// published snapshot tolerates in place (they land beyond its fixed
-// length), so this does NOT set structural. Caller holds the domain mutex
-// and must publish.
+// published snapshot tolerates in place: they land beyond its fixed
+// length. Caller holds the domain mutex.
 func (d *writeDomain) addInstance(e *instanceEntry) {
 	d.instances = append(d.instances, e)
 	d.logs = appendLogs(d.logs, e.v)
@@ -256,7 +210,7 @@ func appendLogs(logs, v []float64) []float64 {
 // setInstancesLocked replaces the master instance list with a freshly
 // allocated slice — the required form for every non-append mutation,
 // since the previous slice's backing array is shared with the published
-// snapshot. Caller holds the domain mutex and must publish.
+// snapshot. Caller holds the domain mutex.
 func (d *writeDomain) setInstancesLocked(insts []*instanceEntry) {
 	d.instances = insts
 	logs := make([]float64, 0, len(d.logs))
@@ -264,7 +218,6 @@ func (d *writeDomain) setInstancesLocked(insts []*instanceEntry) {
 		logs = appendLogs(logs, e.v)
 	}
 	d.logs = logs
-	d.structural = true
 }
 
 // manageCache is Algorithm 2: record the optimized instance, running the
@@ -273,10 +226,6 @@ func (d *writeDomain) setInstancesLocked(insts []*instanceEntry) {
 // not nil, holds recosts of sv to reuse. Caller holds the domain mutex.
 func (d *writeDomain) manageCache(sv []float64, cp *engine.CachedPlan, optCost float64, epoch uint64, pr *pricing) error {
 	s := d.scr
-	// Mark a publication on every exit: even an error path may have
-	// mutated master state (e.g. an eviction before the failure), and
-	// readers must see it no later than the end of this critical section.
-	defer d.publishLocked()
 	fp := cp.Fingerprint()
 
 	if pe, ok := d.plans[fp]; ok {
@@ -349,8 +298,7 @@ func (d *writeDomain) minCostPlan(sv []float64, pr *pricing) (*planEntry, float6
 
 // evictLFU drops the plan with the lowest aggregate usage count and
 // removes every instance entry pointing to it, preserving the
-// λ-optimality guarantee (§6.3.1). Caller holds the domain mutex and
-// must publish.
+// λ-optimality guarantee (§6.3.1). Caller holds the domain mutex.
 func (d *writeDomain) evictLFU() {
 	usage := make(map[*planEntry]int64, len(d.plans))
 	for _, e := range d.instances {
@@ -384,8 +332,8 @@ func (d *writeDomain) evictLFU() {
 // sweepLocked is the body of SweepRedundantPlans (Appendix F): it tests
 // every cached plan for redundancy against the remaining plans and drops
 // those whose instances can all be served λ-optimally by alternatives.
-// The per-removal publication marks coalesce into a single flush when the
-// caller's critical section ends. Caller holds the domain mutex.
+// Every removal publishes together when the caller's critical section
+// ends. Caller holds the domain mutex.
 func (d *writeDomain) sweepLocked() (int, error) {
 	dropped := 0
 	for {
@@ -423,7 +371,6 @@ func (d *writeDomain) sweepLocked() (int, error) {
 				}
 			}
 			d.setInstancesLocked(append(kept, rebound...))
-			d.publishLocked()
 			dropped++
 			removedOne = true
 			break // re-derive counts after each removal
@@ -500,7 +447,6 @@ func (d *writeDomain) seedLocked(sv []float64, cp *engine.CachedPlan, optCost, s
 		d.insertPlanLocked(pe)
 	}
 	d.addInstance(newInstance(sv, pe, optCost, subOpt, 0, s.costEpoch()))
-	d.publishLocked()
 	return nil
 }
 
@@ -508,8 +454,8 @@ func (d *writeDomain) seedLocked(sv []float64, cp *engine.CachedPlan, optCost, s
 // a lagging entry whose plan failed the λr threshold under the new epoch
 // — removing the plan too if no other entry references it — and insert
 // the freshly optimized plan through manageCache at the target epoch. The
-// removal's and the insert's publication marks coalesce into one flush.
-// Caller holds the domain mutex.
+// removal and the insert publish together at unlock. Caller holds the
+// domain mutex.
 func (d *writeDomain) replaceEntryLocked(e *instanceEntry, cp *engine.CachedPlan, optCost float64, epoch uint64, r *Revalidation) {
 	s := d.scr
 	found := false
@@ -531,12 +477,10 @@ func (d *writeDomain) replaceEntryLocked(e *instanceEntry, cp *engine.CachedPlan
 		return
 	}
 	d.setInstancesLocked(kept)
-	d.publishLocked()
 	r.droppedI.Add(1)
 	s.ctr.revalDroppedI.Add(1)
 	if orphaned {
 		d.removePlanLocked(e.pp)
-		d.publishLocked()
 		r.droppedP.Add(1)
 		s.ctr.revalDroppedP.Add(1)
 	}
@@ -550,13 +494,12 @@ func (d *writeDomain) replaceEntryLocked(e *instanceEntry, cp *engine.CachedPlan
 }
 
 // installImportLocked is the body of Import's final installation step:
-// adopt the rehydrated plan set and instance list wholesale. One
-// publication covers the whole install. Caller holds the domain mutex
-// and has verified the cache is empty.
+// adopt the rehydrated plan set and instance list wholesale; unlock
+// publishes the whole install at once. Caller holds the domain mutex and
+// has verified the cache is empty.
 func (d *writeDomain) installImportLocked(byFP map[string]*planEntry, insts []*instanceEntry) {
 	for _, pe := range byFP {
 		d.insertPlanLocked(pe)
 	}
 	d.setInstancesLocked(insts)
-	d.publishLocked()
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -11,25 +12,46 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/pqotest"
 	"repro/internal/workload"
 )
 
-// TestSweepCoalescesIntoSinglePublication pins the coalescing primitive:
-// a sweep that removes k plans marks k publications but flushes exactly
-// once, when its critical section ends — readers see the whole sweep as
-// one version move, never a half-swept cache.
+// TestSweepCoalescesIntoSinglePublication pins the one-publication-per-
+// critical-section rule on a long sweep: the cache holds 80 plans, each a
+// tangent of the concave cost curve 100 + 10·√x at its own anchor, so
+// every plan is optimal at its anchor and within 1.5× of optimal
+// everywhere, and the sweep drops all but one of them. The 79 removals
+// must reach readers as one version move and one publication — never a
+// half-swept cache.
 func TestSweepCoalescesIntoSinglePublication(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	eng, err := pqotest.RandomEngine(rng, 3, 12)
+	const n = 80
+	specs := make([]pqotest.PlanSpec, n)
+	xs := make([]float64, n)
+	for i := range specs {
+		x := 0.01 * math.Pow(100, float64(i)/(n-1)) // 0.01 … 1
+		xs[i] = x
+		r := math.Sqrt(x)
+		specs[i] = pqotest.PlanSpec{Name: fmt.Sprintf("t%d", i), Const: 100 + 5*r, Linear: []float64{5 / r}}
+	}
+	eng, err := pqotest.NewEngine(1, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustSCR(t, eng, WithLambda(2), WithStoreAlways())
-	for i := 0; i < 300; i++ {
-		if _, err := s.Process(context.Background(), pqotest.RandomSVector(rng, 3)); err != nil {
+	s := mustSCR(t, eng, WithLambda(2))
+	for _, x := range xs {
+		sv := []float64{x}
+		cp, c, err := eng.Optimize(sv)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := s.SeedInstance(sv, cp, c, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Stats().CurPlans; got != n {
+		t.Fatalf("seeded %d plans, want %d: each tangent must be optimal at its own anchor", got, n)
 	}
 	before := s.snapshot().version
 	stBefore := s.Stats()
@@ -39,8 +61,8 @@ func TestSweepCoalescesIntoSinglePublication(t *testing.T) {
 	}
 	after := s.snapshot().version
 	stAfter := s.Stats()
-	if dropped == 0 {
-		t.Skip("sweep found nothing to drop; coalescing unexercised under this seed")
+	if dropped != n-1 {
+		t.Fatalf("sweep dropped %d plans, want %d", dropped, n-1)
 	}
 	if after != before+1 {
 		t.Errorf("sweep dropping %d plans moved version %d -> %d, want exactly one publication", dropped, before, after)
@@ -48,9 +70,142 @@ func TestSweepCoalescesIntoSinglePublication(t *testing.T) {
 	if got := stAfter.PublishTotal - stBefore.PublishTotal; got != 1 {
 		t.Errorf("PublishTotal moved by %d across the sweep, want 1", got)
 	}
-	if got := stAfter.PublishCoalesced - stBefore.PublishCoalesced; got != int64(dropped)-1 {
-		t.Errorf("PublishCoalesced moved by %d across a %d-removal sweep, want %d", got, dropped, dropped-1)
+}
+
+// rehydratingEngine lets a synthetic engine import an exported cache: a
+// pqotest plan is identified by its fingerprint alone.
+type rehydratingEngine struct{ *pqotest.EpochEngine }
+
+func (rehydratingEngine) Rehydrate(p *plan.Plan) (*engine.CachedPlan, error) {
+	return &engine.CachedPlan{Plan: p}, nil
+}
+
+// TestPublishedAnchorBoundsMatchWholeList checks the incremental flush
+// against a full recomputation: every snapshot published during a
+// single-goroutine churn — appends past the instance slice's capacity,
+// plan-budget evictions, statistics advances, seeds, a sweep and an
+// import — carries exactly the anchor bounds of its whole instance list.
+// flushLocked folds only the appended anchors when the master list still
+// shares the previous snapshot's backing array, so a non-append mutation
+// mistaken for an append would leave bounds the list does not have.
+func TestPublishedAnchorBoundsMatchWholeList(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	base, err := pqotest.RandomEngine(rng, 3, 12)
+	if err != nil {
+		t.Fatal(err)
 	}
+	eng := rehydratingEngine{pqotest.NewEpochEngine(base)}
+	s := mustSCR(t, eng, WithLambda(2), WithPlanBudget(2))
+	ctx := context.Background()
+	checked := 0
+	check := func(s *SCR, step string) {
+		t.Helper()
+		snap := s.snapshot()
+		minEpoch, minS := anchorBounds(snap.instances, math.MaxUint64, 1)
+		if snap.minEpoch != minEpoch || snap.minS != minS {
+			t.Fatalf("%s: snapshot v%d over %d instances has bounds (%d, %v), the whole list has (%d, %v)",
+				step, snap.version, len(snap.instances), snap.minEpoch, snap.minS, minEpoch, minS)
+		}
+		if want := math.Log(s.cfg.lambdaMax() / minS); snap.selCut != want {
+			t.Fatalf("%s: snapshot selCut %v, want %v", step, snap.selCut, want)
+		}
+		checked++
+	}
+	grows := 0
+	for i := 0; i < 600; i++ {
+		if i > 0 && i%150 == 0 {
+			eng.Advance()
+		}
+		capBefore := cap(s.dom.instances)
+		if _, err := s.Process(ctx, pqotest.RandomSVector(rng, 3)); err != nil {
+			t.Fatal(err)
+		}
+		if cap(s.dom.instances) > capBefore && len(s.dom.instances) > 0 {
+			grows++
+		}
+		check(s, fmt.Sprintf("process %d", i))
+		if i%97 == 0 {
+			sv := pqotest.RandomSVector(rng, 3)
+			cp, c, err := eng.Optimize(sv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A seed past the plan budget is refused; either way the
+			// critical section publishes.
+			_ = s.SeedInstance(sv, cp, c, 1.25)
+			check(s, fmt.Sprintf("seed %d", i))
+		}
+	}
+	if _, err := s.SweepRedundantPlans(); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "sweep")
+	st := s.Stats()
+	if st.Evictions == 0 || grows == 0 {
+		t.Fatalf("churn exercised %d evictions and %d appends past capacity; want both", st.Evictions, grows)
+	}
+
+	data, err := s.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := mustSCR(t, eng, WithLambda(2), WithPlanBudget(2))
+	if err := dst.Import(data); err != nil {
+		t.Fatal(err)
+	}
+	check(dst, "import")
+	for i := 0; i < 50; i++ {
+		if _, err := dst.Process(ctx, pqotest.RandomSVector(rng, 3)); err != nil {
+			t.Fatal(err)
+		}
+		check(dst, fmt.Sprintf("post-import process %d", i))
+	}
+
+	// A miss whose optimizer call straddled an advance stores an anchor
+	// tagged with the older epoch. Here it evicts a one-instance plan in
+	// the same critical section, so the new list is as long as the
+	// published one, and its lagging entry sits inside the published
+	// length: only the fresh backing array tells the flush that this was
+	// not an append, and a fold of the tail alone would miss the lag.
+	late := mustSCR(t, eng, WithLambda(2), WithPlanBudget(2))
+	cur := eng.Advance()
+	for _, sv := range [][]float64{{1e-4, 1e-4, 1e-4}, {1, 1, 1}} {
+		cp, c, err := eng.Optimize(sv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := late.SeedInstance(sv, cp, c, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(late, "seeds at the current epoch")
+	var stale []float64
+	var staleCP *engine.CachedPlan
+	var staleCost float64
+	for i := 0; staleCP == nil; i++ {
+		if i == 1000 {
+			t.Fatal("found no vector whose optimal plan is not cached")
+		}
+		sv := pqotest.RandomSVector(rng, 3)
+		cp, c, err := eng.Optimize(sv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, cached := late.dom.plans[cp.Fingerprint()]; !cached {
+			stale, staleCP, staleCost = sv, cp, c
+		}
+	}
+	if err := late.storePlan(stale, staleCP, staleCost, cur-1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := late.Stats().Evictions; got != 1 {
+		t.Fatalf("stale store evicted %d plans, want 1", got)
+	}
+	check(late, "stale store with eviction")
+	if snap := late.snapshot(); snap.minEpoch != cur-1 {
+		t.Fatalf("snapshot minEpoch = %d after storing an epoch-%d anchor", snap.minEpoch, cur-1)
+	}
+	t.Logf("%d snapshots checked; %d evictions, %d appends past capacity", checked, st.Evictions, grows)
 }
 
 // TestImportSinglePublication: the whole import — plan set and instance

@@ -256,10 +256,16 @@ func (j *revalJob) abandon(k int) {
 
 // complete finishes the job's run: unless it was superseded first, its
 // progress is final from here on; the context is cancelled (releasing
-// any resources) and the handle's Done channel closes.
+// any resources), the domain republishes — re-anchoring in place moves no
+// snapshot, so this is what lifts the snapshot's stale anchor bounds and
+// turns the cost-check prefilter back on — and the handle's Done channel
+// closes. No caller holds the domain mutex: entries finish after
+// revalidateEntry has released it, and the feeder never takes it.
 func (j *revalJob) complete() {
 	j.r.state.CompareAndSwap(runActive, runCompleted)
 	j.r.cancel()
+	j.s.dom.lock()
+	j.s.dom.unlock()
 	close(j.r.finished)
 }
 

@@ -155,6 +155,35 @@ func TestRevalidateReanchorsLaggingEntries(t *testing.T) {
 	}
 }
 
+// TestRevalidationRepublishesAnchorBounds: a drained revalidation run
+// re-anchors entries in place, which moves no snapshot on its own; the
+// run's completion must publish fresh anchor bounds, or the snapshot's
+// minEpoch keeps lagging the cost epoch and the cost-check prefilter
+// (snap.minEpoch >= cur) stays off until the template's next write.
+func TestRevalidationRepublishesAnchorBounds(t *testing.T) {
+	s, eng := epochSCR(t)
+	ctx := context.Background()
+	for _, sv := range [][]float64{{0.01, 0.9}, {0.9, 0.01}, {0.05, 0.8}, {0.8, 0.05}} {
+		if _, err := s.Process(ctx, sv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Advance()
+	r, err := s.Revalidate(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if p := r.Progress(); p.Done != p.Total || p.Failed != 0 || p.Total == 0 {
+		t.Fatalf("run progress = %+v, want every entry handled without failure", p)
+	}
+	if got, want := s.snapshot().minEpoch, s.costEpoch(); got != want {
+		t.Fatalf("snapshot minEpoch after a drained revalidation = %d, want the cost epoch %d", got, want)
+	}
+}
+
 // TestRevalidateGuaranteeAtNewEpoch verifies λ-optimality against ground
 // truth at the new epoch after revalidation: every non-degraded decision's
 // plan cost is within λ of the true optimum of the epoch it was served

@@ -151,11 +151,9 @@ type counters struct {
 	writePathHits  atomic.Int64
 	degraded       atomic.Int64
 	readPathErrors atomic.Int64
-	// Publication accounting (domain.go): snapshots actually published
-	// (flushes with pending marks) and marks absorbed by coalescing —
-	// publishes + coalesced = publishLocked calls.
+	// publishes counts snapshot publications, one per write-domain
+	// critical section (domain.go).
 	publishes atomic.Int64
-	coalesced atomic.Int64
 	// Epoch lifecycle counters (revalidate.go): instances served flagged
 	// because their candidates lagged the current epoch, anchors
 	// revalidated, entries demoted in place, entries/plans dropped, and
@@ -204,8 +202,8 @@ type cacheSnapshot struct {
 	// plans is the plan list in ascending fingerprint order — the
 	// deterministic iteration the degraded fallback and Export need.
 	plans []*planEntry
-	// version counts publications. Under coalescing one publication may
-	// cover a whole batch of mutations (a k-plan sweep, an import), but a
+	// version counts publications. One publication covers a whole
+	// critical section's mutations (a k-plan sweep, an import), but a
 	// mutation is never visible to readers without a version move, so the
 	// miss path's rule stands: re-run the checks only when the version
 	// moved past its read-path observation, and a serial miss pays the
@@ -391,7 +389,6 @@ func (s *SCR) Stats() Stats {
 		MaxPlans:               int(s.maxPlans.Load()),
 		WriteDomains:           1,
 		PublishTotal:           s.ctr.publishes.Load(),
-		PublishCoalesced:       s.ctr.coalesced.Load(),
 	}
 	st.DegradedDecisions = s.ctr.degraded.Load()
 	st.ReadPathErrors = s.ctr.readPathErrors.Load()
@@ -1101,10 +1098,9 @@ func (s *SCR) NumInstances() int {
 // can all be served λ-optimally by alternatives. Plans are examined in
 // increasing order of instance count. It returns the number of plans
 // dropped. The sweep is intended to run off the critical path; it holds
-// this template's domain mutex for its duration, and the per-removal
-// publication marks coalesce into a single publish when the sweep's
-// critical section ends — readers see either the pre-sweep cache or the
-// swept one, never k intermediate republications.
+// this template's domain mutex for its duration, and its critical section
+// ends in a single publication — readers see either the pre-sweep cache
+// or the swept one, never k intermediate republications.
 func (s *SCR) SweepRedundantPlans() (int, error) {
 	d := &s.dom
 	d.lock()

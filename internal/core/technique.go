@@ -158,12 +158,9 @@ type Stats struct {
 	// stats: 1 for a single SCR, the template count when aggregated by a
 	// Directory. Writers to different domains never contend.
 	WriteDomains int
-	// PublishTotal counts snapshot publications; PublishCoalesced counts
-	// mutations that were folded into another mutation's publication
-	// instead of paying their own (PublishTotal + PublishCoalesced =
-	// publication marks, i.e. mutation batches).
-	PublishTotal     int64
-	PublishCoalesced int64
+	// PublishTotal counts snapshot publications: one per critical
+	// section of the write domain, however many mutations it made.
+	PublishTotal int64
 	// GetPlanRecosts counts cost-check candidates priced by a recost on
 	// the critical path (the cost check of getPlan). Candidates of one
 	// instance that share a plan share one engine recost.

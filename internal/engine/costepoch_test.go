@@ -172,7 +172,7 @@ func TestCostEpochSoundness(t *testing.T) {
 		states[i] = st
 	}
 
-	cols := sys.Stats.Columns()
+	cols := sys.Opt.StatsStore().Columns()
 	const steps = 8
 	resampleAt := 3 + rng.Intn(steps-4)
 	constState := states[len(states)-1]
@@ -193,9 +193,9 @@ func TestCostEpochSoundness(t *testing.T) {
 					k = "orders.o_orderdate" // the constant template's footprint
 				}
 				changed[k] = true
-				deltas = append(deltas, randomDelta(rng, sys.Stats, k))
+				deltas = append(deltas, randomDelta(rng, sys.Opt.StatsStore(), k))
 			}
-			next, err = sys.Stats.Apply(deltas)
+			next, err = sys.Opt.StatsStore().Apply(deltas)
 			if err != nil {
 				t.Fatal(err)
 			}

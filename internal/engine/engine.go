@@ -194,13 +194,6 @@ func (e *TemplateEngine) AdvanceEpoch(st *stats.Store) *stats.Epoch {
 	return e.Opt.AdvanceEpoch(st)
 }
 
-// SetStats swaps the optimizer's statistics store (a statistics reload).
-// It is AdvanceEpoch without the returned epoch — kept for callers that
-// predate the epoch lifecycle.
-func (e *TemplateEngine) SetStats(st *stats.Store) {
-	e.AdvanceEpoch(st)
-}
-
 // EnvPoolCounters reports the optimizer's pooled-environment accounting:
 // environments handed out and pool reuses.
 func (e *TemplateEngine) EnvPoolCounters() (gets, reuses int64) {
@@ -224,24 +217,22 @@ func (e *TemplateEngine) ResetTiming() {
 }
 
 // System bundles a catalog with its statistics and optimizer: the "database
-// instance" experiments run against.
+// instance" experiments run against. The optimizer owns the statistics:
+// Opt.StatsStore() reads the current generation's store.
 type System struct {
-	Cat   *catalog.Catalog
-	Gen   *datagen.Generator
-	Stats *stats.Store
-	Opt   *memo.Optimizer
+	Cat *catalog.Catalog
+	Gen *datagen.Generator
+	Opt *memo.Optimizer
 }
 
 // NewSystem builds statistics and an optimizer for cat with the default
 // cost model.
 func NewSystem(cat *catalog.Catalog, seed int64) *System {
 	gen := datagen.New(cat, seed)
-	st := stats.Build(cat, gen)
 	return &System{
-		Cat:   cat,
-		Gen:   gen,
-		Stats: st,
-		Opt:   memo.NewOptimizer(cat, cost.DefaultModel(), st),
+		Cat: cat,
+		Gen: gen,
+		Opt: memo.NewOptimizer(cat, cost.DefaultModel(), stats.Build(cat, gen)),
 	}
 }
 
@@ -252,11 +243,8 @@ func (s *System) EngineFor(tpl *query.Template) (*TemplateEngine, error) {
 
 // AdvanceEpoch installs st as the system's next statistics generation and
 // returns the new epoch. Every TemplateEngine built from this system
-// shares the optimizer, so they all observe the advance at once. The
-// exported Stats field keeps naming the current store for existing
-// callers; versioned readers should use Opt.Epoch.
+// shares the optimizer, so they all observe the advance at once.
 func (s *System) AdvanceEpoch(st *stats.Store) *stats.Epoch {
-	s.Stats = st
 	return s.Opt.AdvanceEpoch(st)
 }
 

@@ -61,12 +61,12 @@ func TestEngineOptimizeAndRecost(t *testing.T) {
 	}
 }
 
-// TestSetStatsRecostsUnderNewStatistics checks that a statistics swap
+// TestAdvanceEpochRecostsUnderNewStatistics checks that a statistics swap
 // never serves a stale recost: after it, a template whose constant
 // predicate reads a replaced histogram recosts exactly as an engine built
 // on the new statistics does, and a template with no footprint recosts
 // exactly as before the swap.
-func TestSetStatsRecostsUnderNewStatistics(t *testing.T) {
+func TestAdvanceEpochRecostsUnderNewStatistics(t *testing.T) {
 	sys, tpl := testSystem(t)
 	constTpl := *tpl
 	constTpl.Name = "q2d_const"
@@ -98,7 +98,7 @@ func TestSetStatsRecostsUnderNewStatistics(t *testing.T) {
 	// Swap in a statistics store built from different data: every
 	// histogram is replaced, so the constant template's cost epoch moves.
 	sys2 := NewSystem(catalog.NewTPCH(0.1), 43)
-	engs[0].eng.SetStats(sys2.Stats)
+	engs[0].eng.AdvanceEpoch(sys2.Opt.StatsStore())
 	after := make([]float64, len(engs))
 	for i, w := range engs {
 		var err error
@@ -107,7 +107,7 @@ func TestSetStatsRecostsUnderNewStatistics(t *testing.T) {
 		}
 	}
 	if after[0] != engs[0].before {
-		t.Errorf("%s: recost after SetStats = %v, want the pre-swap %v; a template with no footprint keeps its costs",
+		t.Errorf("%s: recost after AdvanceEpoch = %v, want the pre-swap %v; a template with no footprint keeps its costs",
 			tpl.Name, after[0], engs[0].before)
 	}
 	fresh, err := sys2.EngineFor(&constTpl)
@@ -119,7 +119,7 @@ func TestSetStatsRecostsUnderNewStatistics(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.Float64bits(after[1]) != math.Float64bits(want) {
-		t.Errorf("%s: recost after SetStats = %v, fresh engine on the new statistics = %v; stale cost served",
+		t.Errorf("%s: recost after AdvanceEpoch = %v, fresh engine on the new statistics = %v; stale cost served",
 			constTpl.Name, after[1], want)
 	}
 	if after[1] == engs[1].before {

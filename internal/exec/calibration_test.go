@@ -48,11 +48,11 @@ func TestCostModelCorrelatesWithExecutionTime(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Bind parameters matching the selectivities.
-		v0, err := sys.Stats.ValueForSelectivityLE("lineitem", "l_shipdate", sel)
+		v0, err := sys.Opt.StatsStore().ValueForSelectivityLE("lineitem", "l_shipdate", sel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1, err := sys.Stats.ValueForSelectivityLE("orders", "o_orderdate", sel)
+		v1, err := sys.Opt.StatsStore().ValueForSelectivityLE("orders", "o_orderdate", sel)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,9 +78,9 @@ func (r *Runner) Tab3(m, maxRows int) ([]Tab3Row, error) {
 				err error
 			)
 			if p.Op == query.LE {
-				v, err = entry.Sys.Stats.ValueForSelectivityLE(p.Table, p.Column, sv[i])
+				v, err = entry.Sys.Opt.StatsStore().ValueForSelectivityLE(p.Table, p.Column, sv[i])
 			} else {
-				v, err = entry.Sys.Stats.ValueForSelectivityGE(p.Table, p.Column, sv[i])
+				v, err = entry.Sys.Opt.StatsStore().ValueForSelectivityGE(p.Table, p.Column, sv[i])
 			}
 			if err != nil {
 				return nil, err

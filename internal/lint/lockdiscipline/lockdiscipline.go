@@ -214,8 +214,8 @@ func checkHotPath(pass *analysis.Pass, ins *inspector.Inspector) {
 // operation. Recognized: methods Lock/RLock/Unlock/RUnlock on sync.Mutex /
 // sync.RWMutex values (usually fields), and this repo's wrapper methods
 // lock()/rlock() (lock-wait-counting acquires) and unlock()/runlock()
-// (releases — the write-domain unlock also flushes the pending snapshot
-// publication) on a receiver owning such a mutex.
+// (releases — the write-domain unlock also publishes the snapshot) on a
+// receiver owning such a mutex.
 func classify(pass *analysis.Pass, call *ast.CallExpr, deferred bool) (mutexOp, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {

@@ -1,13 +1,12 @@
 // Package rcupublish machine-checks the copy-on-write RCU publication
-// discipline of the serving cache (internal/core/scr.go, docs/PERF.md):
+// discipline of the serving cache (internal/core/domain.go, docs/PERF.md).
+// An owner is a type with a flushLocked method — the rebuild-and-store of
+// its snapshot — and an atomic.Pointer snapshot field; the fields
+// flushLocked reads are its master state. Publication itself needs no
+// check: every critical section of an owner ends in unlock, which calls
+// flushLocked, so there is no mark a mutation could forget. The analyzer
+// checks what the types cannot:
 //
-//  1. Every mutation of master state — the fields publishLocked rebuilds
-//     the snapshot from — must be post-dominated by a publishLocked()
-//     call: on every path from the mutation to return, readers must gain
-//     visibility of the change. Mutating helpers (addInstance, evictLFU)
-//     are allowed as long as every call to them is itself followed by a
-//     publish; the analyzer propagates this over the same-package call
-//     graph.
 //  2. Published snapshots are immutable. No store may go through a value
 //     reachable from a published snapshot: a snapshot-pointer load, a
 //     parameter of the snapshot type, or the result of a helper that
@@ -18,32 +17,24 @@
 //     passes it down. Two loads in one operation is a TOCTOU: a writer
 //     may publish between them, and the operation acts on two different
 //     cache states. Loads made on behalf of the writer path (functions
-//     that themselves publish) do not count against their callers.
-//  4. Coalesced publication (owners with a flushLocked method): the
-//     publishLocked mark defers the snapshot rebuild to flushLocked, and
-//     the domain's unlock method must flush on every path before
-//     releasing the mutex — otherwise mutations marked mid-section stay
-//     invisible to readers after the critical section ends. flushLocked
-//     is deliberately NOT a publish point for rule 1: a flush without a
-//     mark is a no-op, so only the mark proves the mutation will ever be
-//     published.
+//     that call flushLocked) do not count against their callers.
 //  5. Per-domain write discipline: master fields may only be stored
 //     through the owning domain's receiver. A store that reaches another
 //     domain's master state (a "cross-domain store") bypasses that
-//     domain's mutex and publication protocol and is reported wherever
-//     it appears.
+//     domain's mutex and publication and is reported wherever it appears.
+//
+// Rules 1 (every mutation is followed by a publication mark) and 4 (unlock
+// flushes the marks) were deleted with the marks themselves; the rule
+// numbers are kept so docs/LINT.md and older notes stay readable.
 //
 // The analyzer is structural, not name-bound: any package type with a
-// publishLocked method and an atomic.Pointer snapshot field is checked,
-// which is what lets the fixture packages model the real SCR.
+// flushLocked method and an atomic.Pointer snapshot field is checked,
+// which is what lets the fixture packages model the real write domain.
 package rcupublish
 
 import (
-	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"golang.org/x/tools/go/analysis"
 
@@ -51,19 +42,12 @@ import (
 	"repro/internal/lint/ssalite"
 )
 
-const (
-	publishName = "publishLocked"
-	// flushName is the deferred-rebuild half of coalesced publication:
-	// publishLocked marks, flushLocked (when the owner has one) rebuilds
-	// and stores the snapshot. unlockName is the critical-section exit
-	// that must flush.
-	flushName  = "flushLocked"
-	unlockName = "unlock"
-)
+// flushName is the method that rebuilds and stores an owner's snapshot.
+const flushName = "flushLocked"
 
 var Analyzer = &analysis.Analyzer{
 	Name:     "rcupublish",
-	Doc:      "check the RCU publication discipline: master mutations publish, published snapshots stay immutable, readers load the snapshot once",
+	Doc:      "check the RCU publication discipline: published snapshots stay immutable, readers load the snapshot once, master state is stored only through its own domain",
 	Requires: []*analysis.Analyzer{ssalite.Analyzer},
 	Run:      run,
 }
@@ -72,8 +56,6 @@ func run(pass *analysis.Pass) (any, error) {
 	lintutil.ReportAllowMisuse(pass)
 	ssa := pass.ResultOf[ssalite.Analyzer].(*ssalite.SSA)
 	for _, o := range findOwners(pass, ssa) {
-		o.checkPublish()
-		o.checkUnlockFlush()
 		o.checkCrossDomain()
 		o.checkEscape()
 		o.checkSingleLoad()
@@ -81,22 +63,15 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// owner is one RCU-published type: it has a publishLocked method, master
+// owner is one RCU-published type: it has a flushLocked method, master
 // fields that method rebuilds from, and (usually) an atomic.Pointer
 // snapshot field.
 type owner struct {
-	pass    *analysis.Pass
-	ssa     *ssalite.SSA
-	typ     *types.Named
-	publish *ssalite.Function
-	// flush is the owner's flushLocked method when publication is
-	// coalesced (publishLocked marks, flushLocked rebuilds); nil for
-	// owners that publish eagerly.
-	flush *ssalite.Function
-	// methods are the owner's non-test methods, publish included.
-	methods []*ssalite.Function
-	byName  map[string]*ssalite.Function
-	master  map[*types.Var]bool
+	pass   *analysis.Pass
+	ssa    *ssalite.SSA
+	typ    *types.Named
+	flush  *ssalite.Function
+	master map[*types.Var]bool
 	// snapTypes are the element types of the owner's atomic.Pointer
 	// fields: the published snapshot type(s).
 	snapTypes []types.Type
@@ -105,7 +80,7 @@ type owner struct {
 func findOwners(pass *analysis.Pass, ssa *ssalite.SSA) []*owner {
 	var owners []*owner
 	for _, fn := range ssa.Funcs {
-		if fn.Decl == nil || fn.Name != publishName || fn.Recv == nil || fn.Incomplete {
+		if fn.Decl == nil || fn.Name != flushName || fn.Recv == nil || fn.Incomplete {
 			continue
 		}
 		if lintutil.InTestFile(pass, fn.Decl.Pos()) {
@@ -115,19 +90,7 @@ func findOwners(pass *analysis.Pass, ssa *ssalite.SSA) []*owner {
 		if named == nil || structOf(named) == nil {
 			continue
 		}
-		o := &owner{pass: pass, ssa: ssa, typ: named, publish: fn,
-			byName: map[string]*ssalite.Function{}, master: map[*types.Var]bool{}}
-		for _, m := range ssa.Funcs {
-			if m.Decl == nil || m.Recv == nil || namedOf(m.Recv.Type()) != named {
-				continue
-			}
-			if lintutil.InTestFile(pass, m.Decl.Pos()) {
-				continue
-			}
-			o.methods = append(o.methods, m)
-			o.byName[m.Name] = m
-		}
-		o.flush = o.byName[flushName]
+		o := &owner{pass: pass, ssa: ssa, typ: named, flush: fn, master: map[*types.Var]bool{}}
 		o.findMaster()
 		o.findSnapTypes()
 		owners = append(owners, o)
@@ -135,29 +98,22 @@ func findOwners(pass *analysis.Pass, ssa *ssalite.SSA) []*owner {
 	return owners
 }
 
-// findMaster collects the owner fields publishLocked (and, under
-// coalescing, flushLocked — the half that actually rebuilds) reads: those
-// are the master state the snapshot is rebuilt from. Fields of sync/atomic
-// types are excluded — the snapshot pointer itself, counters — since they
-// have their own publication semantics.
+// findMaster collects the owner fields flushLocked reads: those are the
+// master state the snapshot is rebuilt from. Fields of sync/atomic types
+// are excluded — the snapshot pointer itself, counters — since they have
+// their own publication semantics.
 func (o *owner) findMaster() {
 	st := structOf(o.typ)
-	scan := func(fn *ssalite.Function) {
-		fn.Instrs(func(in ssalite.Instruction) {
-			fa, ok := in.(*ssalite.FieldAddr)
-			if !ok || fa.Field == nil || !derivesFromRecv(fa.X, fn) {
-				return
-			}
-			if !isStructField(st, fa.Field) || isAtomicType(fa.Field.Type()) {
-				return
-			}
-			o.master[fa.Field] = true
-		})
-	}
-	scan(o.publish)
-	if o.flush != nil {
-		scan(o.flush)
-	}
+	o.flush.Instrs(func(in ssalite.Instruction) {
+		fa, ok := in.(*ssalite.FieldAddr)
+		if !ok || fa.Field == nil || !derivesFromRecv(fa.X, o.flush) {
+			return
+		}
+		if !isStructField(st, fa.Field) || isAtomicType(fa.Field.Type()) {
+			return
+		}
+		o.master[fa.Field] = true
+	})
 }
 
 func (o *owner) findSnapTypes() {
@@ -169,229 +125,6 @@ func (o *owner) findSnapTypes() {
 	}
 }
 
-// ---- check 1: master mutations are post-dominated by publishLocked ----
-
-type mutation struct {
-	instr ssalite.Instruction
-	desc  string
-	// call marks a bubbled-up call site to a mutating helper.
-	call bool
-}
-
-func (o *owner) checkPublish() {
-	// Publishers: methods that publish on every path from entry to return
-	// (publishLocked itself; manageCache via its deferred publish). A call
-	// to a publisher counts as a publish point.
-	publishers := map[*ssalite.Function]bool{o.publish: true}
-	isPublishPoint := func(in ssalite.Instruction) bool {
-		c, ok := in.(*ssalite.Call)
-		if !ok {
-			return false
-		}
-		if c.CalleeName() == publishName {
-			return true
-		}
-		callee := o.byName[c.CalleeName()]
-		return callee != nil && publishers[callee]
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, m := range o.methods {
-			if !publishers[m] && ssalite.MustReachFromEntry(m, isPublishPoint) {
-				publishers[m] = true
-				changed = true
-			}
-		}
-	}
-
-	// Direct mutation points, per function. Function literals are scanned
-	// too: a goroutine or closure mutating master state owes a publish
-	// just like a method body.
-	funcs := o.mutationScanScope()
-	unresolved := map[*ssalite.Function]map[ssalite.Instruction]mutation{}
-	add := func(fn *ssalite.Function, mut mutation) {
-		if !ssalite.MustReach(fn, mut.instr, isPublishPoint) {
-			if unresolved[fn] == nil {
-				unresolved[fn] = map[ssalite.Instruction]mutation{}
-			}
-			unresolved[fn][mut.instr] = mut
-		}
-	}
-	for _, fn := range funcs {
-		fn.Instrs(func(in ssalite.Instruction) {
-			if root := o.mutatedMaster(in, fn); root != "" {
-				add(fn, mutation{instr: in, desc: fmt.Sprintf("%s.%s", o.typ.Obj().Name(), root)})
-			}
-		})
-	}
-
-	// Bubble mutating-helper calls upward: a call to a function with
-	// unresolved mutations is itself a mutation point of the caller.
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range funcs {
-			fn.Instrs(func(in ssalite.Instruction) {
-				c, ok := in.(*ssalite.Call)
-				if !ok {
-					return
-				}
-				callee := o.byName[c.CalleeName()]
-				if callee == nil || callee == fn || len(unresolved[callee]) == 0 {
-					return
-				}
-				if _, seen := unresolved[fn][in]; seen {
-					return
-				}
-				before := len(unresolved[fn])
-				add(fn, mutation{instr: in, desc: callee.Name, call: true})
-				if len(unresolved[fn]) != before {
-					changed = true
-				}
-			})
-		}
-	}
-
-	// Report: at entry points (exported methods, uncalled functions) the
-	// uncovered mutation surfaces; for called unexported helpers it has
-	// already bubbled into every uncovered caller.
-	callers := o.callerCount(funcs)
-	for _, fn := range funcs {
-		pts := unresolved[fn]
-		if len(pts) == 0 {
-			continue
-		}
-		if !ast.IsExported(fn.Name) && callers[fn] > 0 {
-			continue
-		}
-		ordered := make([]mutation, 0, len(pts))
-		for _, m := range pts {
-			ordered = append(ordered, m)
-		}
-		sort.Slice(ordered, func(i, j int) bool { return ordered[i].instr.Pos() < ordered[j].instr.Pos() })
-		for _, m := range ordered {
-			if m.call {
-				lintutil.Report(o.pass, m.instr.Pos(),
-					"call to %s mutates %s master state without a publishLocked on every following path (readers keep serving the stale snapshot)",
-					m.desc, o.typ.Obj().Name())
-			} else {
-				lintutil.Report(o.pass, m.instr.Pos(),
-					"mutation of master state %s is not followed by publishLocked on every path to return (readers keep serving the stale snapshot)",
-					m.desc)
-			}
-		}
-	}
-}
-
-// mutationScanScope is every non-test function of the package that can
-// mutate this owner's master state: its methods plus function literals.
-// flushLocked is excluded like publishLocked — its bookkeeping stores
-// (clearing the structural flag) are part of publication itself.
-func (o *owner) mutationScanScope() []*ssalite.Function {
-	var out []*ssalite.Function
-	for _, fn := range o.ssa.Funcs {
-		if fn == o.publish || fn == o.flush || fn.Incomplete || len(fn.Blocks) == 0 {
-			continue
-		}
-		pos := funcPos(fn)
-		if pos.IsValid() && lintutil.InTestFile(o.pass, pos) {
-			continue
-		}
-		switch {
-		case fn.Decl != nil && fn.Recv != nil && namedOf(fn.Recv.Type()) == o.typ:
-			out = append(out, fn)
-		case fn.Lit != nil:
-			out = append(out, fn)
-		}
-	}
-	return out
-}
-
-func (o *owner) callerCount(funcs []*ssalite.Function) map[*ssalite.Function]int {
-	n := map[*ssalite.Function]int{}
-	for _, fn := range funcs {
-		fn.Instrs(func(in ssalite.Instruction) {
-			if c, ok := in.(*ssalite.Call); ok {
-				if callee := o.byName[c.CalleeName()]; callee != nil && callee != fn {
-					n[callee]++
-				}
-			}
-		})
-	}
-	return n
-}
-
-// mutatedMaster reports whether in mutates one of the owner's master
-// fields (directly, through an element, or via map update/delete),
-// returning the rooting field's name ("" when it does not).
-func (o *owner) mutatedMaster(in ssalite.Instruction, fn *ssalite.Function) string {
-	var addr ssalite.Value
-	switch in := in.(type) {
-	case *ssalite.Store:
-		addr = in.Addr
-	case *ssalite.MapUpdate:
-		addr = in.Map
-	case *ssalite.MapDelete:
-		addr = in.Map
-	default:
-		return ""
-	}
-	if f := o.masterRoot(addr, fn, 0); f != nil {
-		return f.Name()
-	}
-	return ""
-}
-
-// masterRoot walks an address (or map value) back to the receiver field
-// it roots in, if that field is master state.
-func (o *owner) masterRoot(v ssalite.Value, fn *ssalite.Function, depth int) *types.Var {
-	if depth > 32 {
-		return nil
-	}
-	switch v := v.(type) {
-	case *ssalite.FieldAddr:
-		if v.Field != nil && o.master[v.Field] && derivesFromRecv(v.X, fn) {
-			return v.Field
-		}
-		return o.masterRoot(v.X, fn, depth+1)
-	case *ssalite.IndexAddr:
-		return o.masterRoot(v.X, fn, depth+1)
-	case *ssalite.Load:
-		return o.masterRoot(v.Addr, fn, depth+1)
-	case *ssalite.Slice:
-		return o.masterRoot(v.X, fn, depth+1)
-	case *ssalite.Append:
-		return o.masterRoot(v.Slice, fn, depth+1)
-	}
-	return nil
-}
-
-// ---- check 4: unlock must flush pending publications ----
-
-// checkUnlockFlush enforces the coalescing contract: for an owner whose
-// publication is deferred (it has a flushLocked method), the unlock method
-// — the end of every writer critical section — must call flushLocked on
-// every path from entry to return. Without it, mutations whose marks were
-// coalesced mid-section would outlive the critical section unpublished,
-// breaking the "readers lag at most one mutation batch" bound.
-func (o *owner) checkUnlockFlush() {
-	if o.flush == nil {
-		return
-	}
-	u := o.byName[unlockName]
-	if u == nil {
-		return
-	}
-	isFlushPoint := func(in ssalite.Instruction) bool {
-		c, ok := in.(*ssalite.Call)
-		return ok && (c.CalleeName() == flushName || c.CalleeName() == publishName)
-	}
-	if !ssalite.MustReachFromEntry(u, isFlushPoint) {
-		lintutil.Report(o.pass, u.Decl.Pos(),
-			"%s.unlock releases the domain mutex without calling flushLocked on every path: coalesced publication marks would outlive the critical section unpublished",
-			o.typ.Obj().Name())
-	}
-}
-
 // ---- check 5: no cross-domain stores ----
 
 // checkCrossDomain reports stores into an owner's master state that do not
@@ -400,10 +133,10 @@ func (o *owner) checkUnlockFlush() {
 // mutex/publication discipline even if the enclosing code holds some other
 // lock. Function literals are skipped — they have no receiver, so the
 // derivation test cannot distinguish a captured owner receiver from a
-// foreign domain; their mutations are still covered by rule 1's scan.
+// foreign domain.
 func (o *owner) checkCrossDomain() {
 	for _, fn := range o.ssa.Funcs {
-		if fn.Decl == nil || fn.Incomplete || fn == o.publish || fn == o.flush {
+		if fn.Decl == nil || fn.Incomplete || fn == o.flush {
 			continue
 		}
 		if lintutil.InTestFile(o.pass, fn.Decl.Pos()) {
@@ -539,7 +272,7 @@ func (o *owner) checkEscape() {
 
 func (o *owner) reportEscape(pos token.Pos) {
 	lintutil.Report(o.pass, pos,
-		"store through a published %s snapshot (published state is immutable: copy, rebuild and publishLocked instead)",
+		"store through a published %s snapshot (published state is immutable: copy into the master state instead and let unlock publish it)",
 		o.typ.Obj().Name())
 }
 
@@ -655,17 +388,16 @@ func (o *owner) checkSingleLoad() {
 	if len(o.snapTypes) == 0 {
 		return
 	}
-	// Writer-side functions publish (directly or transitively); their
-	// snapshot loads serve the version bump, not a read decision, and do
-	// not count against callers. Under coalescing, flushLocked is the
-	// rebuild half of publication and is writer-side too.
+	// Writer-side functions publish: flushLocked and its callers (unlock,
+	// init). Their snapshot loads serve the version bump, not a read
+	// decision, and do not count against callers.
 	writerSide := func(fn *ssalite.Function) bool {
-		if fn == o.publish || (o.flush != nil && fn == o.flush) {
+		if fn == o.flush {
 			return true
 		}
 		found := false
 		fn.Instrs(func(in ssalite.Instruction) {
-			if c, ok := in.(*ssalite.Call); ok && c.CalleeName() == publishName {
+			if c, ok := in.(*ssalite.Call); ok && c.CalleeName() == flushName {
 				found = true
 			}
 		})

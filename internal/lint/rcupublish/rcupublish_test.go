@@ -11,17 +11,9 @@ func TestRCUPublish(t *testing.T) {
 	linttest.Run(t, rcupublish.Analyzer, "rcu")
 }
 
-// TestSeededRegression proves the analyzer catches the defect class it
-// was built for: a manageCache-shaped method whose deferred publishLocked
-// was removed.
-func TestSeededRegression(t *testing.T) {
-	linttest.Run(t, rcupublish.Analyzer, "rcuseed")
-}
-
-// TestSeededShardedRegression proves the coalescing-era checks catch their
-// defect classes: a missed publication mark on state only flushLocked
-// reads, an unlock that forgets to flush, and a cross-domain store that
-// bypasses another domain's mutex and publication.
+// TestSeededShardedRegression proves the per-domain check catches its
+// defect class: a cross-domain store that bypasses another domain's mutex
+// and publication.
 func TestSeededShardedRegression(t *testing.T) {
 	linttest.Run(t, rcupublish.Analyzer, "rcusharded")
 }

@@ -1,7 +1,8 @@
 // Package rcu models the SCR's RCU publication discipline for the
 // rcupublish analyzer: master state guarded by a writer mutex, rebuilt
-// into an immutable snapshot by publishLocked and published through an
-// atomic pointer that readers load exactly once per operation.
+// into an immutable snapshot by flushLocked when a critical section ends
+// and published through an atomic pointer that readers load exactly once
+// per operation.
 package rcu
 
 import (
@@ -33,10 +34,10 @@ func New() *Cache {
 	return c
 }
 
-// publishLocked rebuilds the immutable snapshot from the master state.
+// flushLocked rebuilds the immutable snapshot from the master state.
 // The caller holds mu. The fields read here (entries, index) are what the
 // analyzer learns to treat as master state.
-func (c *Cache) publishLocked() {
+func (c *Cache) flushLocked() {
 	es := make([]*entry, len(c.entries))
 	copy(es, c.entries)
 	idx := make(map[string]*entry, len(c.index))
@@ -46,79 +47,18 @@ func (c *Cache) publishLocked() {
 	c.snap.Store(&snapshot{entries: es, index: idx, version: c.snap.Load().version + 1})
 }
 
-// Add mutates and republishes on every path: compliant.
+// unlock ends every critical section with a publication.
+func (c *Cache) unlock() {
+	c.flushLocked()
+	c.mu.Unlock()
+}
+
+// Add mutates under the mutex; unlock publishes: compliant.
 func (c *Cache) Add(e *entry) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.entries = append(c.entries, e)
 	c.index[e.key] = e
-	c.publishLocked()
-}
-
-// Evict publishes via a deferred publishLocked: compliant.
-func (c *Cache) Evict(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	defer c.publishLocked()
-	delete(c.index, key)
-}
-
-// manage publishes unconditionally through its entry-block defer, which
-// makes it a publisher: a call to it counts as a publish point.
-func (c *Cache) manage() {
-	defer c.publishLocked()
-	if len(c.entries) > cap(c.entries)/2 {
-		c.entries = c.entries[:0]
-	}
-}
-
-// Trim mutates, then publishes through the manage publisher: compliant.
-func (c *Cache) Trim(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = c.entries[:n]
-	c.manage()
-}
-
-// Leak mutates, but the early return path skips the publish.
-func (c *Cache) Leak(e *entry, fast bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = append(c.entries, e) // want `mutation of master state Cache\.entries is not followed by publishLocked`
-	if fast {
-		return
-	}
-	c.publishLocked()
-}
-
-// Drop never publishes after the map delete.
-func (c *Cache) Drop(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.index, key) // want `mutation of master state Cache\.index is not followed by publishLocked`
-}
-
-// addLocked mutates without publishing; its callers owe the publish, so
-// nothing is reported here.
-func (c *Cache) addLocked(e *entry) {
-	c.entries = append(c.entries, e)
-	c.index[e.key] = e
-}
-
-// Covered pairs the mutating helper with a publish: compliant.
-func (c *Cache) Covered(e *entry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.addLocked(e)
-	c.publishLocked()
-}
-
-// Uncovered calls the mutating helper and forgets the publish; the
-// helper's debt surfaces at this call site.
-func (c *Cache) Uncovered(e *entry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.addLocked(e) // want `call to addLocked mutates Cache master state without a publishLocked`
 }
 
 // Get is the read path: one load, reads only. Compliant.
@@ -178,12 +118,13 @@ func (c *Cache) Probe(key string) *entry {
 	return e
 }
 
-// Resort is writer-side: it publishes, so the load inside publishLocked
-// does not count against it.
-func (c *Cache) Resort() {
+// Resort is a write section that reads the published version before
+// unlock republishes: the load inside flushLocked is writer-side and does
+// not count against it.
+func (c *Cache) Resort() uint64 {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.publishLocked()
+	defer c.unlock()
+	return c.snap.Load().version
 }
 
 var _ = scrub

@@ -1,16 +1,7 @@
-// Package rcusharded seeds regressions for the sharded, coalescing RCU
-// write path: a mini write-domain whose publishLocked only marks and
-// whose flushLocked rebuilds. Three defect classes are re-introduced on
-// purpose:
-//
-//   - a domain helper that mutates master state read only by flushLocked
-//     (not publishLocked) and forgets its publication mark — catchable
-//     only because the analyzer learns master state from BOTH halves of
-//     coalesced publication;
-//   - an unlock that releases the mutex without flushing, so coalesced
-//     marks outlive the critical section unpublished;
-//   - a method of another type storing straight into a foreign domain's
-//     master state, bypassing its mutex and publication.
+// Package rcusharded seeds a regression for the sharded RCU write path: a
+// mini write-domain whose unlock publishes every critical section through
+// flushLocked, and a method of another type that stores straight into a
+// foreign domain's master state, bypassing its mutex and publication.
 package rcusharded
 
 import (
@@ -32,25 +23,12 @@ type domain struct {
 	mu      sync.Mutex
 	entries []*entry
 	dirty   bool
-	pending atomic.Int64
 	snap    atomic.Pointer[snapshot]
 }
 
-// publishLocked is the coalescing mark: it defers the rebuild to
-// flushLocked.
-func (d *domain) publishLocked() {
-	if d.pending.Add(1) >= 8 {
-		d.flushLocked()
-	}
-}
-
 // flushLocked rebuilds the snapshot from the master state — entries and
-// the dirty flag are what the analyzer must learn as master here, since
-// publishLocked itself reads none of them.
+// the dirty flag are what the analyzer learns as master here.
 func (d *domain) flushLocked() {
-	if d.pending.Swap(0) == 0 {
-		return
-	}
 	es := make([]*entry, len(d.entries))
 	copy(es, d.entries)
 	v := uint64(1)
@@ -61,29 +39,18 @@ func (d *domain) flushLocked() {
 	d.snap.Store(&snapshot{entries: es, version: v})
 }
 
-// unlock releases the mutex but LOST its flushLocked call — the seeded
-// coalescing bug: marks accumulated mid-section never publish.
-func (d *domain) unlock() { // want `domain\.unlock releases the domain mutex without calling flushLocked`
+// unlock publishes the critical section and releases the mutex.
+func (d *domain) unlock() {
+	d.flushLocked()
 	d.mu.Unlock()
 }
 
-// Add marks its mutation correctly; the broken unlock is reported at the
-// unlock itself, not here.
+// Add mutates its own master state under its own mutex: compliant.
 func (d *domain) Add(e *entry) {
 	d.mu.Lock()
 	defer d.unlock()
 	d.entries = append(d.entries, e)
 	d.dirty = true
-	d.publishLocked()
-}
-
-// Drop mutates master state flushLocked (not publishLocked) reads and
-// forgets the publication mark entirely.
-func (d *domain) Drop(n int) {
-	d.mu.Lock()
-	defer d.unlock()
-	d.entries = d.entries[:n] // want `mutation of master state domain\.entries is not followed by publishLocked`
-	d.dirty = true            // want `mutation of master state domain\.dirty is not followed by publishLocked`
 }
 
 // registry maps names to domains; its methods must never reach into a

@@ -291,7 +291,7 @@ type Call struct {
 	// Callee is the statically resolved callee, when known.
 	Callee *types.Func
 	// Method is the bare selector/identifier name of the callee, e.g.
-	// "publishLocked" for s.publishLocked(). Empty for dynamic calls
+	// "flushLocked" for s.flushLocked(). Empty for dynamic calls
 	// through non-selector expressions.
 	Method string
 	// Recv is the receiver value for method calls (the translated sel.X).

@@ -179,91 +179,6 @@ func TestRangeOperandTranslatedOnce(t *testing.T) {
 	}
 }
 
-const srcMustReach = `package p
-
-type S struct{ x, y int }
-
-func (s *S) publish() {}
-
-func (s *S) Good(v int) {
-	s.x = v
-	s.publish()
-}
-
-func (s *S) Deferred(v int) {
-	defer s.publish()
-	if v > 0 {
-		return
-	}
-	s.x = v
-}
-
-func (s *S) Leaky(v int) {
-	s.x = v
-	if v > 0 {
-		return
-	}
-	s.publish()
-}
-
-func (s *S) PanicExit(v int) {
-	s.x = v
-	if v < 0 {
-		panic("bad")
-	}
-	s.publish()
-}
-`
-
-func firstStore(t *testing.T, f *ssalite.Function) ssalite.Instruction {
-	t.Helper()
-	var found ssalite.Instruction
-	f.Instrs(func(in ssalite.Instruction) {
-		if _, ok := in.(*ssalite.Store); ok && found == nil {
-			if fa, ok := in.(*ssalite.Store).Addr.(*ssalite.FieldAddr); ok && fa.Field.Name() == "x" {
-				found = in
-			}
-		}
-	})
-	if found == nil {
-		t.Fatal("no store to .x found")
-	}
-	return found
-}
-
-func TestMustReach(t *testing.T) {
-	ssa := build(t, srcMustReach)
-	isPublish := func(in ssalite.Instruction) bool {
-		c, ok := in.(*ssalite.Call)
-		return ok && c.CalleeName() == "publish"
-	}
-	for _, tc := range []struct {
-		fn   string
-		want bool
-	}{
-		{"Good", true},
-		{"Deferred", true}, // entry-block defer runs at every exit
-		{"Leaky", false},   // early return skips publish
-		{"PanicExit", true},
-	} {
-		f := fn(t, ssa, tc.fn)
-		if got := ssalite.MustReach(f, firstStore(t, f), isPublish); got != tc.want {
-			t.Errorf("MustReach(%s) = %v, want %v", tc.fn, got, tc.want)
-		}
-	}
-
-	// MustReachFromEntry: Deferred publishes unconditionally, Leaky does not.
-	if !ssalite.MustReachFromEntry(fn(t, ssa, "Deferred"), isPublish) {
-		t.Error("MustReachFromEntry(Deferred) = false, want true")
-	}
-	if ssalite.MustReachFromEntry(fn(t, ssa, "Leaky"), isPublish) {
-		t.Error("MustReachFromEntry(Leaky) = true, want false")
-	}
-	if !ssalite.MustReachFromEntry(fn(t, ssa, "Good"), isPublish) {
-		t.Error("MustReachFromEntry(Good) = false, want true")
-	}
-}
-
 const srcClosure = `package p
 
 func sink(func()) {}

@@ -282,7 +282,7 @@ func (s *Server) advanceGeneration(ctx context.Context, sys *pqo.System, reasonP
 	)
 	if len(deltas) > 0 {
 		reason = reasonPrefix + "delta"
-		next, err = sys.Stats.Apply(deltas)
+		next, err = sys.Opt.StatsStore().Apply(deltas)
 		if err != nil {
 			return nil, http.StatusBadRequest, "ErrBadRequest", err
 		}

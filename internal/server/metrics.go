@@ -142,8 +142,6 @@ var scalarSeries = [...]struct {
 		}},
 	{"pqo_publish_total", "RCU snapshot publications for this template's write domain.",
 		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.PublishTotal, 10) }},
-	{"pqo_publish_coalesced_total", "Publication marks absorbed into a batched flush instead of publishing their own snapshot.",
-		func(b []byte, st *statsSnapshot) []byte { return strconv.AppendInt(b, st.PublishCoalesced, 10) }},
 }
 
 // metricsScrape is what one /v1/metrics scrape renders: the registered

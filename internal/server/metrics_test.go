@@ -121,7 +121,7 @@ func TestMetricsMatchReference(t *testing.T) {
 			StatsEpoch: uint64(i * 1000), ClusterEpoch: 1<<63 + uint64(i), EpochSkew: 2, LaggingInstances: -1,
 			WriteLockWait: time.Duration(i)*time.Second + 123456789*time.Nanosecond,
 			BreakerOpens:  3, BreakerHalfOpens: int64(i), BreakerCloses: 9,
-			PublishTotal: 1e15, PublishCoalesced: 42,
+			PublishTotal: 1e15,
 		})
 	}
 	var want bytes.Buffer
@@ -256,8 +256,6 @@ func writeMetricsFmt(w io.Writer, m *metricsScrape) {
 			func(st statsSnapshot) string { return fmt.Sprintf("%g", st.WriteLockWait.Seconds()) }},
 		{"pqo_publish_total", "RCU snapshot publications for this template's write domain.",
 			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.PublishTotal) }},
-		{"pqo_publish_coalesced_total", "Publication marks absorbed into a batched flush instead of publishing their own snapshot.",
-			func(st statsSnapshot) string { return fmt.Sprintf("%d", st.PublishCoalesced) }},
 	}
 	for _, sc := range scalars {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", sc.metric, sc.help, sc.metric, promType(sc.metric))

@@ -703,7 +703,6 @@ type StatsRow struct {
 	WriteLockWaitUS   int64   `json:"writeLockWaitMicros"`
 	WriteDomains      int     `json:"writeDomains"`
 	PublishTotal      int64   `json:"publishTotal"`
-	PublishCoalesced  int64   `json:"publishCoalesced"`
 	Degraded          int64   `json:"degradedDecisions"`
 	ReadPathErrors    int64   `json:"readPathErrors"`
 	BreakerState      string  `json:"breakerState"`
@@ -737,7 +736,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			WriteLockWaitUS:   st.WriteLockWait.Microseconds(),
 			WriteDomains:      st.WriteDomains,
 			PublishTotal:      st.PublishTotal,
-			PublishCoalesced:  st.PublishCoalesced,
 			Degraded:          st.DegradedDecisions,
 			ReadPathErrors:    st.ReadPathErrors,
 			BreakerState:      st.BreakerState.String(),

@@ -16,8 +16,9 @@
 //
 // The SCR plan cache is safe for concurrent use: cache hits are served
 // lock-free off an immutable RCU snapshot, writers serialize on a
-// per-template write domain with coalesced snapshot publication, and
-// concurrent misses for identical instances share one optimizer call.
+// per-template write domain that publishes one snapshot per critical
+// section, and concurrent misses for identical instances share one
+// optimizer call.
 // A Directory groups many templates' SCRs so multi-template deployments
 // revalidate and aggregate statistics without stop-the-world pauses.
 // Snapshots round-trip through SCR.Export / SCR.Import.
