@@ -53,14 +53,14 @@ func TestAllowsAudit(t *testing.T) {
 	src := `package p
 
 func a() {
-	//lint:allow hotalloc cold path, measured and justified
+	//lint:allow envpool cold path, measured and justified
 	_ = make([]int, 8)
 }
 
 func b() {
 	//lint:allow nosuchanalyzer this analyzer does not exist
 	_ = 1
-	//lint:allow epochflow
+	//lint:allow rcupublish
 	_ = 2
 }
 `
@@ -87,13 +87,13 @@ func b() {
 	if !strings.Contains(stderr, `unknown analyzer "nosuchanalyzer"`) {
 		t.Errorf("stderr does not flag the unknown analyzer:\n%s", stderr)
 	}
-	if !strings.Contains(stderr, "lint:allow epochflow has no reason") {
+	if !strings.Contains(stderr, "lint:allow rcupublish has no reason") {
 		t.Errorf("stderr does not flag the reason-less allow:\n%s", stderr)
 	}
 	if strings.Contains(stderr, "alsonotreal") {
 		t.Errorf("testdata allows leaked into the audit:\n%s", stderr)
 	}
-	if want := "hotalloc\tcold path, measured and justified"; !strings.Contains(string(out), want) {
+	if want := "envpool\tcold path, measured and justified"; !strings.Contains(string(out), want) {
 		t.Errorf("stdout missing the valid allow row %q:\n%s", want, out)
 	}
 
@@ -117,10 +117,11 @@ type pqolintFinding struct {
 	SuppressedBy string `json:"suppressedBy"`
 }
 
-// TestJSONFindings exercises `pqolint -json`: on the (clean) repository
-// tree it must exit 0 while still listing suppressed findings with their
-// allow reasons; on a module with a live violation it must exit 1 and
-// report the finding unsuppressed.
+// TestJSONFindings exercises `pqolint -json`: on a clean package of the
+// repository it must exit 0 while still listing suppressed findings with
+// their allow reasons; on a module seeded with rcupublish's rcu fixture it
+// must exit 1, report the fixture's violations unsuppressed and its
+// allowed one suppressed.
 func TestJSONFindings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the full linter")
@@ -128,54 +129,32 @@ func TestJSONFindings(t *testing.T) {
 	bin := buildPqolint(t)
 	root := repoRoot(t)
 
-	cmd := exec.Command(bin, "-json", "./internal/memo/")
+	cmd := exec.Command(bin, "-json", "./internal/core/")
 	cmd.Dir = root
 	out, err := cmd.Output()
 	if err != nil {
 		t.Fatalf("-json on a clean package: %v\n%s", err, out)
 	}
-	var findings []pqolintFinding
-	if err := json.Unmarshal(out, &findings); err != nil {
-		t.Fatalf("-json output is not a JSON array: %v\n%s", err, out)
-	}
-	foundSuppressed := false
+	findings := parseFindings(t, out)
 	for _, f := range findings {
-		if f.Pos == "" || f.Analyzer == "" || f.Message == "" {
-			t.Errorf("finding with missing fields: %+v", f)
-		}
 		if f.SuppressedBy == "" {
-			t.Errorf("clean tree reported a live finding: %+v", f)
-		}
-		if f.Analyzer == "hotalloc" && strings.Contains(f.Pos, "shrunken.go") {
-			foundSuppressed = true
-			if want := "plans beyond smStackOps pay one bounded spill allocation"; f.SuppressedBy != want {
-				t.Errorf("suppression reason = %q, want %q", f.SuppressedBy, want)
-			}
-			if strings.Contains(f.Message, "[suppressed:") {
-				t.Errorf("suppression prefix not stripped from message: %q", f.Message)
-			}
+			t.Errorf("clean package reported a live finding: %+v", f)
 		}
 	}
-	if !foundSuppressed {
-		t.Errorf("suppressed shrunken.go hotalloc finding not in artifact:\n%s", out)
-	}
+	checkSuppressed(t, findings, "scr.go", "intentional second-chance re-check after winning the flight")
 
-	// A module with a seeded violation: the epochflow engine fixture has
-	// live (unsuppressed) findings, so -json must exit 1 and carry them.
+	// A module seeded with the rcu fixture: its double loads are live
+	// findings, so -json must exit 1 and carry them. The fixture's
+	// // want comments are analysistest markup, not source.
 	mod := t.TempDir()
 	if err := os.WriteFile(filepath.Join(mod, "go.mod"), []byte("module seeded\n\ngo 1.22\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fixture, err := os.ReadFile(filepath.Join(root, "internal/lint/epochflow/testdata/src/engine/engine.go"))
+	fixture, err := os.ReadFile(filepath.Join(root, "internal/lint/rcupublish/testdata/src/rcu/rcu.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The fixture's // want comments are analysistest markup, not source.
-	engDir := filepath.Join(mod, "engine")
-	if err := os.MkdirAll(engDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(engDir, "engine.go"), fixture, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(mod, "rcu.go"), fixture, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	seeded := exec.Command(bin, "-json", "./...")
@@ -185,17 +164,50 @@ func TestJSONFindings(t *testing.T) {
 	if ee == nil || ee.ExitCode() != 1 {
 		t.Fatalf("-json on seeded module: got err %v, want exit status 1\nstdout:\n%s", serr, sout)
 	}
-	var seededFindings []pqolintFinding
-	if err := json.Unmarshal(sout, &seededFindings); err != nil {
-		t.Fatalf("seeded -json output is not a JSON array: %v\n%s", err, sout)
-	}
+	seededFindings := parseFindings(t, sout)
 	live := 0
 	for _, f := range seededFindings {
-		if f.Analyzer == "epochflow" && f.SuppressedBy == "" {
+		if f.Analyzer == "rcupublish" && f.SuppressedBy == "" {
 			live++
 		}
 	}
-	if live == 0 {
-		t.Errorf("seeded module produced no live epochflow findings:\n%s", sout)
+	if live != 2 {
+		t.Errorf("seeded module produced %d live rcupublish findings, want 2 (Double, Mixed):\n%s", live, sout)
 	}
+	checkSuppressed(t, seededFindings, "rcu.go", "second-chance version re-check is intentional")
+}
+
+// parseFindings decodes a -json artifact and checks every finding's fields.
+func parseFindings(t *testing.T, out []byte) []pqolintFinding {
+	t.Helper()
+	var findings []pqolintFinding
+	if err := json.Unmarshal(out, &findings); err != nil {
+		t.Fatalf("-json output is not a JSON array: %v\n%s", err, out)
+	}
+	for _, f := range findings {
+		if f.Pos == "" || f.Analyzer == "" || f.Message == "" {
+			t.Errorf("finding with missing fields: %+v", f)
+		}
+	}
+	return findings
+}
+
+// checkSuppressed asserts that findings hold a suppressed rcupublish
+// finding in file carrying reason, its message free of the suppression
+// prefix.
+func checkSuppressed(t *testing.T, findings []pqolintFinding, file, reason string) {
+	t.Helper()
+	for _, f := range findings {
+		if f.Analyzer != "rcupublish" || !strings.Contains(f.Pos, file) || f.SuppressedBy == "" {
+			continue
+		}
+		if f.SuppressedBy != reason {
+			t.Errorf("suppression reason = %q, want %q", f.SuppressedBy, reason)
+		}
+		if strings.Contains(f.Message, "[suppressed:") {
+			t.Errorf("suppression prefix not stripped from message: %q", f.Message)
+		}
+		return
+	}
+	t.Errorf("suppressed rcupublish finding in %s not in artifact: %+v", file, findings)
 }

@@ -42,9 +42,10 @@ import (
 
 // writeDomain owns one template's mutable plan-cache state: the writer
 // mutex, the master plan and instance lists, and the published snapshot
-// pointer. SCR embeds it by value and delegates every mutation to it;
-// nothing outside this type's methods may touch these fields (the
-// rcupublish analyzer enforces the no-cross-domain-store rule).
+// pointer. SCR holds it by value in its dom field and delegates every
+// mutation to it; only this type's methods store into the fields its
+// flushLocked reads (the rcupublish analyzer reports a store from
+// anywhere else, docs/LINT.md).
 type writeDomain struct {
 	// scr points back to the owning SCR for configuration, engine access
 	// and counters. Set once in init, immutable afterwards.
@@ -115,8 +116,6 @@ func (d *writeDomain) unlock() {
 // previous snapshot's anchor bounds; any other list was installed fresh
 // by a non-append mutation, and the bounds are recomputed over all of it.
 // Caller holds the domain mutex.
-//
-//lint:allow hotalloc writer-path snapshot rebuild, amortized against the critical section that triggered it
 func (d *writeDomain) flushLocked() {
 	if len(d.plans) != len(d.plansSorted) {
 		panic("core: write-domain plan map and sorted plan list diverged")
@@ -127,7 +126,6 @@ func (d *writeDomain) flushLocked() {
 		logs:      d.logs,
 		plans:     d.plansSorted,
 		version:   1,
-		epoch:     d.scr.statsEpoch(),
 	}
 	minEpoch, minS, from := uint64(math.MaxUint64), 1.0, 0
 	if prev != nil && len(prev.instances) > 0 && len(d.instances) >= len(prev.instances) &&

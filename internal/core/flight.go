@@ -29,8 +29,6 @@ type flightCall struct {
 // Do runs fn once per concurrent burst of callers with the same key. The
 // second return value reports whether the result was shared from another
 // caller's flight rather than produced by this one.
-//
-//lint:allow hotalloc miss-path singleflight bookkeeping, dominated by the optimizer call it deduplicates
 func (g *flightGroup) Do(ctx context.Context, key string, fn func() (*Decision, error)) (*Decision, bool, error) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -75,8 +73,6 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func() (*Decision, 
 }
 
 // svKey encodes a selectivity vector into a byte-exact map key.
-//
-//lint:allow hotalloc miss-path key construction, paid only when an optimizer call is already due
 func svKey(sv []float64) string {
 	var buf [16 * 8]byte // built on the stack for up to 16 dimensions
 	b := buf[:0]

@@ -42,6 +42,9 @@ func realEngine(t testing.TB) *engine.TemplateEngine {
 	return eng
 }
 
+// RealEngine is realEngine for the package's external tests.
+var RealEngine = realEngine
+
 func TestExportImportRoundTrip(t *testing.T) {
 	eng := realEngine(t)
 	s1, err := New(eng, WithLambda(2))

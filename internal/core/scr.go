@@ -209,10 +209,6 @@ type cacheSnapshot struct {
 	// moved past its read-path observation, and a serial miss pays the
 	// checks exactly once.
 	version int64
-	// epoch is the statistics epoch current when the snapshot was
-	// published (diagnostic; per-entry guarantees carry their own epochs
-	// in their anchors).
-	epoch uint64
 }
 
 // SCR is the paper's technique: an online PQO plan cache driven by the
@@ -343,8 +339,6 @@ func (s *SCR) SkewLagging() bool {
 // Decision.Epoch names — but Via/Degraded say the node should not be
 // trusted to be within one generation of its peers. Already-degraded
 // decisions keep their original (more specific) reason.
-//
-//lint:allow hotalloc one Decision copy, only on the rare skew-lagging path
 func (s *SCR) flagSkew(dec *Decision) *Decision {
 	if dec == nil || dec.Degraded || !s.SkewLagging() {
 		return dec
@@ -571,7 +565,6 @@ func (s *SCR) Process(ctx context.Context, sv []float64) (dec *Decision, err err
 	// concurrent identical instances.
 	held := pr
 	defer held.release()
-	//lint:allow hotalloc miss-path flight closure, dominated by the optimizer call it wraps
 	dec2, shared, err := s.flight.Do(ctx, svKey(sv), func() (*Decision, error) {
 		// Second chance: an overlapping flight may have populated the
 		// cache between our read-path miss and winning the flight. Only

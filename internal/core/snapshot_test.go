@@ -18,7 +18,6 @@ import (
 // mutable channel and are deliberately excluded.
 type snapshotFingerprint struct {
 	version int64
-	epoch   uint64
 	insts   []*instanceEntry
 	vecs    [][]float64
 	pps     []*planEntry
@@ -30,7 +29,6 @@ type snapshotFingerprint struct {
 func fingerprintSnapshot(snap *cacheSnapshot) snapshotFingerprint {
 	f := snapshotFingerprint{
 		version: snap.version,
-		epoch:   snap.epoch,
 		insts:   append([]*instanceEntry(nil), snap.instances...),
 		plans:   append([]*planEntry(nil), snap.plans...),
 		logs:    append([]float64(nil), snap.logs...),
@@ -49,9 +47,8 @@ func fingerprintSnapshot(snap *cacheSnapshot) snapshotFingerprint {
 // fingerprint taken at publication time.
 func (f *snapshotFingerprint) verify(t *testing.T, snap *cacheSnapshot) {
 	t.Helper()
-	if snap.version != f.version || snap.epoch != f.epoch {
-		t.Errorf("snapshot (version,epoch) mutated: (%d,%d) -> (%d,%d)",
-			f.version, f.epoch, snap.version, snap.epoch)
+	if snap.version != f.version {
+		t.Errorf("snapshot version mutated: %d -> %d", f.version, snap.version)
 	}
 	if len(snap.instances) != len(f.insts) {
 		t.Fatalf("snapshot instance list resized: %d -> %d", len(f.insts), len(snap.instances))

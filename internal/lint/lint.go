@@ -11,8 +11,6 @@ import (
 	"repro/internal/lint/costdeterminism"
 	"repro/internal/lint/ctxflow"
 	"repro/internal/lint/envpool"
-	"repro/internal/lint/epochflow"
-	"repro/internal/lint/hotalloc"
 	"repro/internal/lint/lockdiscipline"
 	"repro/internal/lint/rcupublish"
 )
@@ -26,7 +24,5 @@ func Analyzers() []*analysis.Analyzer {
 		cacheinvalidation.Analyzer,
 		ctxflow.Analyzer,
 		rcupublish.Analyzer,
-		epochflow.Analyzer,
-		hotalloc.Analyzer,
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 func TestAnalyzersValid(t *testing.T) {
 	as := lint.Analyzers()
-	if len(as) != 8 {
-		t.Fatalf("Analyzers() returned %d analyzers, want 8", len(as))
+	if len(as) != 6 {
+		t.Fatalf("Analyzers() returned %d analyzers, want 6", len(as))
 	}
 	if err := analysis.Validate(as); err != nil {
 		t.Fatalf("invalid analyzer graph: %v", err)

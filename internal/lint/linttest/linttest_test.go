@@ -9,7 +9,6 @@ import (
 	"golang.org/x/tools/go/analysis"
 
 	"repro/internal/lint/linttest"
-	"repro/internal/lint/ssalite"
 )
 
 // tagFact marks an exported function; countFact counts the tags. Both
@@ -109,43 +108,4 @@ func TestUnregisteredFactPanics(t *testing.T) {
 		}
 	}()
 	linttest.Run(t, unregistered, "facts")
-}
-
-// ssaProbe requires the ssalite builder and reports the allocation-shaped
-// instructions it sees, pinning down that linttest drives SSA-backed
-// analyzers with real translations (positions, literal naming, and no
-// Incomplete fallbacks on ordinary code).
-var ssaProbe = &analysis.Analyzer{
-	Name:     "ssaprobe",
-	Doc:      "surface ssalite instructions for the linttest meta-test",
-	Requires: []*analysis.Analyzer{ssalite.Analyzer},
-	Run: func(pass *analysis.Pass) (any, error) {
-		ssa := pass.ResultOf[ssalite.Analyzer].(*ssalite.SSA)
-		for _, fn := range ssa.Funcs {
-			if fn.Incomplete {
-				pos := token.NoPos
-				if fn.Decl != nil {
-					pos = fn.Decl.Pos()
-				} else if fn.Lit != nil {
-					pos = fn.Lit.Pos()
-				}
-				pass.Reportf(pos, "incomplete translation of %s", fn.Name)
-				continue
-			}
-			name := fn.Name
-			fn.Instrs(func(ins ssalite.Instruction) {
-				switch i := ins.(type) {
-				case *ssalite.MakeSlice:
-					pass.Reportf(i.Pos(), "makeslice in %s", name)
-				case *ssalite.MakeClosure:
-					pass.Reportf(i.Pos(), "closure %s in %s", i.Fn.Name, name)
-				}
-			})
-		}
-		return nil, nil
-	},
-}
-
-func TestSSAMetaFixture(t *testing.T) {
-	linttest.Run(t, ssaProbe, "ssameta")
 }

@@ -144,20 +144,6 @@ func Report(pass *analysis.Pass, pos token.Pos, format string, args ...any) {
 	pass.Reportf(pos, format, args...)
 }
 
-// Allowed reports whether an //lint:allow comment for analyzer name
-// covers pos. Analyzers use it to prune whole declarations (e.g. hotalloc
-// skips a function whose decl carries an allow).
-func Allowed(pass *analysis.Pass, pos token.Pos, name string) bool {
-	t := allowsFor(pass)
-	p := pass.Fset.Position(pos)
-	for _, rec := range t.lines[p.Filename][p.Line] {
-		if rec.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // ReportAllowMisuse files a diagnostic for every //lint:allow comment that
 // names pass's analyzer but carries no reason. Each analyzer calls this once
 // so that reason-less suppressions of its name are caught exactly once.

@@ -66,31 +66,6 @@ func (c *Cache) Get(key string) *entry {
 	return c.snap.Load().index[key]
 }
 
-// MutateSnap writes through the published snapshot: copy-on-write says
-// published state is immutable.
-func (c *Cache) MutateSnap(key string) {
-	s := c.snap.Load()
-	s.version = 0      // want `store through a published Cache snapshot`
-	s.entries[0] = nil // want `store through a published Cache snapshot`
-	s.index[key] = nil // want `store through a published Cache snapshot`
-}
-
-// scrub receives the snapshot type as a parameter; a write through it is
-// still a write into published state.
-func scrub(s *snapshot) {
-	s.version = 0 // want `store through a published Cache snapshot`
-}
-
-// view returns published state, so writes through its result are caught
-// interprocedurally.
-func (c *Cache) view() *snapshot { return c.snap.Load() }
-
-// Indirect reaches the snapshot through the view helper.
-func (c *Cache) Indirect() {
-	s := c.view()
-	s.version = 1 // want `store through a published Cache snapshot`
-}
-
 // Double loads the snapshot pointer twice in one operation: a writer may
 // publish between the loads and the two reads disagree.
 func (c *Cache) Double(key string) bool {
@@ -126,5 +101,3 @@ func (c *Cache) Resort() uint64 {
 	defer c.unlock()
 	return c.snap.Load().version
 }
-
-var _ = scrub

@@ -81,8 +81,6 @@ func (o *Optimizer) metaFor(tpl *query.Template) *tplMeta {
 }
 
 // buildMeta derives the per-template metadata.
-//
-//lint:allow hotalloc built once per (optimizer, template) and memoized by Optimizer.metaFor, never per recost
 func buildMeta(tpl *query.Template) *tplMeta {
 	n := len(tpl.Tables)
 	m := &tplMeta{
@@ -220,8 +218,6 @@ func (e *Env) reset(o *Optimizer, tpl *query.Template, sv []float64, st *stats.S
 }
 
 // grow returns s resized to n, reusing capacity when possible.
-//
-//lint:allow hotalloc amortized growth, env vectors are pooled and their capacity is reused
 func grow(s []float64, n int) []float64 {
 	if cap(s) >= n {
 		return s[:n]

@@ -182,7 +182,7 @@ func (sm *ShrunkenMemo) RecostWith(o *Optimizer, env *Env) (float64, error) {
 	if len(sm.ops) <= smStackOps {
 		states = buf[:len(sm.ops)]
 	} else {
-		states = make([]smState, len(sm.ops)) //lint:allow hotalloc plans beyond smStackOps pay one bounded spill allocation
+		states = make([]smState, len(sm.ops))
 	}
 	for i := range sm.ops {
 		e := &sm.ops[i]
