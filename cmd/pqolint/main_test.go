@@ -104,7 +104,7 @@ func b() {
 	if err != nil {
 		t.Fatalf("-allows on the repository tree failed: %v\n%s", err, repoOut)
 	}
-	if !strings.Contains(string(repoOut), "rcupublish\tintentional second-chance re-check") {
+	if !strings.Contains(string(repoOut), "rcupublish\tfallback reloads the snapshot") {
 		t.Errorf("repository audit is missing the known rcupublish allow:\n%s", repoOut)
 	}
 }
@@ -141,7 +141,7 @@ func TestJSONFindings(t *testing.T) {
 			t.Errorf("clean package reported a live finding: %+v", f)
 		}
 	}
-	checkSuppressed(t, findings, "scr.go", "intentional second-chance re-check after winning the flight")
+	checkSuppressed(t, findings, "scr.go", "fallback reloads the snapshot to rank plans published during the optimizer wait")
 
 	// A module seeded with the rcu fixture: its double loads are live
 	// findings, so -json must exit 1 and carry them. The fixture's

@@ -1,11 +1,11 @@
-// Server example: the HTTP plan-cache service from internal/server over
+// Command pqoserver is the HTTP plan-cache service from internal/server over
 // two demonstration templates on a TPC-DS-shaped system.
 //
 // The heavy lifting — concurrent SCR caches, request timeouts, metrics,
 // snapshots, graceful shutdown — lives in internal/server; this binary
 // only wires templates and flags.
 //
-// Run with:  go run ./examples/server [-addr :8080] [-snapshot dir]
+// Run with:  go run ./cmd/pqoserver [-addr :8080] [-snapshot dir]
 // Then:
 //
 //	curl -s localhost:8080/v1/templates

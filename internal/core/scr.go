@@ -568,10 +568,10 @@ func (s *SCR) Process(ctx context.Context, sv []float64) (dec *Decision, err err
 	dec2, shared, err := s.flight.Do(ctx, svKey(sv), func() (*Decision, error) {
 		// Second chance: an overlapping flight may have populated the
 		// cache between our read-path miss and winning the flight. Only
-		// re-run the checks if the cache actually changed since.
-		if s.snapshot().version != seen {
-			//lint:allow rcupublish intentional second-chance re-check after winning the flight
-			dec, _, err := s.readPath(ctx, sv, nil)
+		// re-run the checks if the cache actually changed since, against
+		// the snapshot whose version said so.
+		if snap := s.snapshot(); snap.version != seen {
+			dec, err := s.getPlan(ctx, sv, snap, false, nil)
 			switch {
 			case err != nil && s.cfg.degradedFallback && !errors.Is(err, ErrCancelled):
 				s.ctr.readPathErrors.Add(1)
@@ -591,6 +591,7 @@ func (s *SCR) Process(ctx context.Context, sv []float64) (dec *Decision, err err
 		}
 		if err != nil {
 			if s.cfg.degradedFallback {
+				//lint:allow rcupublish fallback reloads the snapshot to rank plans published during the optimizer wait
 				return s.degrade(sv, degradeReason(err), err)
 			}
 			return nil, err

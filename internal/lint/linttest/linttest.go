@@ -7,17 +7,15 @@
 // It exists because the x/tools analysistest package (and its go/packages
 // dependency) is not vendored with the Go distribution; the subset of the
 // analysis framework that is vendored (go/analysis, inspect, ctrlflow) is
-// enough to drive analyzers directly. Facts are backed by an in-memory
-// store shared across the Requires chain of one run: exported facts must
-// use registered (FactTypes) gob-encodable types, as under the real
-// driver, and imports see what earlier analyzers of the same run exported
-// for this package. Cross-package fact import (from dependency packages)
-// is not modeled — fixture dependencies are typechecked, not analyzed.
+// enough to drive analyzers directly. Facts are not modeled: no pqolint
+// analyzer declares FactTypes, and running one that does is an error
+// naming it. The one exception is the required ctrlflow pass, whose
+// noReturn facts are only read by packages importing the analyzed one,
+// which linttest never analyzes: its exports are dropped, and its imports
+// find nothing, as for any callee outside the fixture.
 package linttest
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -26,7 +24,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -35,6 +32,7 @@ import (
 	"testing"
 
 	"golang.org/x/tools/go/analysis"
+	"golang.org/x/tools/go/analysis/passes/ctrlflow"
 )
 
 // sharedFset is process-wide so the expensive source-importer work for the
@@ -165,8 +163,7 @@ func runOne(t *testing.T, root string, a *analysis.Analyzer, pkgPath string) {
 	}
 
 	var diags []analysis.Diagnostic
-	store := newFactStore()
-	if err := runAnalyzer(a, fp, fset, map[*analysis.Analyzer]any{}, store, &diags); err != nil {
+	if err := runAnalyzer(a, fp, fset, map[*analysis.Analyzer]any{}, &diags); err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, pkgPath, err)
 	}
 
@@ -200,131 +197,17 @@ func runOne(t *testing.T, root string, a *analysis.Analyzer, pkgPath string) {
 	}
 }
 
-// factStore is the in-memory fact database shared by one run's analyzer
-// chain. It reproduces the driver contract the pqolint analyzers can rely
-// on: facts live per (object|package, concrete fact type), exported fact
-// types must be registered in the analyzer's FactTypes, and every fact
-// must survive a gob round trip (the wire format real drivers use).
-type factStore struct {
-	obj map[types.Object]map[reflect.Type]analysis.Fact
-	pkg map[*types.Package]map[reflect.Type]analysis.Fact
-}
-
-func newFactStore() *factStore {
-	return &factStore{
-		obj: map[types.Object]map[reflect.Type]analysis.Fact{},
-		pkg: map[*types.Package]map[reflect.Type]analysis.Fact{},
-	}
-}
-
-// copyFact round-trips src into dst through gob, the same serialization
-// boundary the unitchecker driver imposes between packages.
-func copyFact(src, dst analysis.Fact) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(src); err != nil {
-		return err
-	}
-	return gob.NewDecoder(&buf).Decode(dst)
-}
-
-// registered reports whether fact's concrete type appears in a.FactTypes.
-func registered(a *analysis.Analyzer, fact analysis.Fact) bool {
-	t := reflect.TypeOf(fact)
-	for _, ft := range a.FactTypes {
-		if reflect.TypeOf(ft) == t {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *factStore) exportObj(a *analysis.Analyzer, obj types.Object, fact analysis.Fact) {
-	if obj == nil {
-		panic(fmt.Sprintf("linttest: %s: ExportObjectFact(nil, %T)", a.Name, fact))
-	}
-	if !registered(a, fact) {
-		panic(fmt.Sprintf("linttest: %s: fact type %T not registered in FactTypes", a.Name, fact))
-	}
-	stored := reflect.New(reflect.TypeOf(fact).Elem()).Interface().(analysis.Fact)
-	if err := copyFact(fact, stored); err != nil {
-		panic(fmt.Sprintf("linttest: %s: fact %T is not gob-serializable: %v", a.Name, fact, err))
-	}
-	m := s.obj[obj]
-	if m == nil {
-		m = map[reflect.Type]analysis.Fact{}
-		s.obj[obj] = m
-	}
-	m[reflect.TypeOf(fact)] = stored
-}
-
-func (s *factStore) exportPkg(a *analysis.Analyzer, pkg *types.Package, fact analysis.Fact) {
-	if !registered(a, fact) {
-		panic(fmt.Sprintf("linttest: %s: fact type %T not registered in FactTypes", a.Name, fact))
-	}
-	stored := reflect.New(reflect.TypeOf(fact).Elem()).Interface().(analysis.Fact)
-	if err := copyFact(fact, stored); err != nil {
-		panic(fmt.Sprintf("linttest: %s: fact %T is not gob-serializable: %v", a.Name, fact, err))
-	}
-	m := s.pkg[pkg]
-	if m == nil {
-		m = map[reflect.Type]analysis.Fact{}
-		s.pkg[pkg] = m
-	}
-	m[reflect.TypeOf(fact)] = stored
-}
-
-func (s *factStore) importObj(obj types.Object, fact analysis.Fact) bool {
-	stored, ok := s.obj[obj][reflect.TypeOf(fact)]
-	if !ok {
-		return false
-	}
-	if err := copyFact(stored, fact); err != nil {
-		return false
-	}
-	return true
-}
-
-func (s *factStore) importPkg(pkg *types.Package, fact analysis.Fact) bool {
-	stored, ok := s.pkg[pkg][reflect.TypeOf(fact)]
-	if !ok {
-		return false
-	}
-	if err := copyFact(stored, fact); err != nil {
-		return false
-	}
-	return true
-}
-
-func (s *factStore) allObj() []analysis.ObjectFact {
-	var out []analysis.ObjectFact
-	for obj, m := range s.obj {
-		for _, f := range m {
-			out = append(out, analysis.ObjectFact{Object: obj, Fact: f})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Object.Pos() < out[j].Object.Pos() })
-	return out
-}
-
-func (s *factStore) allPkg() []analysis.PackageFact {
-	var out []analysis.PackageFact
-	for pkg, m := range s.pkg {
-		for _, f := range m {
-			out = append(out, analysis.PackageFact{Package: pkg, Fact: f})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Package.Path() < out[j].Package.Path() })
-	return out
-}
-
 // runAnalyzer runs a (and, first, its Requires closure) over fp.
-func runAnalyzer(a *analysis.Analyzer, fp *fixturePkg, fset *token.FileSet, results map[*analysis.Analyzer]any, store *factStore, diags *[]analysis.Diagnostic) error {
+func runAnalyzer(a *analysis.Analyzer, fp *fixturePkg, fset *token.FileSet, results map[*analysis.Analyzer]any, diags *[]analysis.Diagnostic) error {
 	if _, done := results[a]; done {
 		return nil
 	}
+	if len(a.FactTypes) > 0 && a != ctrlflow.Analyzer {
+		return fmt.Errorf("linttest: analyzer %s declares FactTypes; facts are not supported", a.Name)
+	}
 	resultOf := map[*analysis.Analyzer]any{}
 	for _, req := range a.Requires {
-		if err := runAnalyzer(req, fp, fset, results, store, nil); err != nil {
+		if err := runAnalyzer(req, fp, fset, results, nil); err != nil {
 			return err
 		}
 		resultOf[req] = results[req]
@@ -342,21 +225,9 @@ func runAnalyzer(a *analysis.Analyzer, fp *fixturePkg, fset *token.FileSet, resu
 				*diags = append(*diags, d)
 			}
 		},
-		ReadFile: os.ReadFile,
-		ImportObjectFact: func(obj types.Object, f analysis.Fact) bool {
-			return store.importObj(obj, f)
-		},
-		ImportPackageFact: func(pkg *types.Package, f analysis.Fact) bool {
-			return store.importPkg(pkg, f)
-		},
-		ExportObjectFact: func(obj types.Object, f analysis.Fact) {
-			store.exportObj(a, obj, f)
-		},
-		ExportPackageFact: func(f analysis.Fact) {
-			store.exportPkg(a, fp.pkg, f)
-		},
-		AllObjectFacts:  store.allObj,
-		AllPackageFacts: store.allPkg,
+		ReadFile:         os.ReadFile,
+		ExportObjectFact: func(types.Object, analysis.Fact) {},
+		ImportObjectFact: func(types.Object, analysis.Fact) bool { return false },
 	}
 	res, err := a.Run(pass)
 	if err != nil {

@@ -1,111 +1,36 @@
-package linttest_test
+package linttest
 
 import (
-	"go/token"
-	"go/types"
 	"strings"
 	"testing"
 
 	"golang.org/x/tools/go/analysis"
-
-	"repro/internal/lint/linttest"
 )
 
-// tagFact marks an exported function; countFact counts the tags. Both
-// carry exported fields so they survive the gob round trip the harness
-// imposes on every export.
-type tagFact struct{ Label string }
+type tagFact struct{}
 
 func (*tagFact) AFact() {}
 
-type countFact struct{ N int }
-
-func (*countFact) AFact() {}
-
-// tagger exports a tagFact per exported package-scope function plus one
-// countFact on the package.
-var tagger = &analysis.Analyzer{
-	Name:      "metatagger",
-	Doc:       "export facts for the linttest plumbing meta-test",
-	FactTypes: []analysis.Fact{(*tagFact)(nil), (*countFact)(nil)},
-	Run: func(pass *analysis.Pass) (any, error) {
-		n := 0
-		scope := pass.Pkg.Scope()
-		for _, name := range scope.Names() {
-			if fn, ok := scope.Lookup(name).(*types.Func); ok && fn.Exported() {
-				pass.ExportObjectFact(fn, &tagFact{Label: fn.Name()})
-				n++
-			}
+// TestFactTypesRejected checks that an analyzer declaring FactTypes,
+// directly or through its Requires closure, fails with an error naming
+// it instead of running with no fact store behind its Pass.
+func TestFactTypesRejected(t *testing.T) {
+	facts := &analysis.Analyzer{
+		Name:      "metafacts",
+		Doc:       "declares a fact type",
+		FactTypes: []analysis.Fact{(*tagFact)(nil)},
+		Run:       func(*analysis.Pass) (any, error) { return nil, nil },
+	}
+	consumer := &analysis.Analyzer{
+		Name:     "metaconsumer",
+		Doc:      "requires an analyzer with facts",
+		Requires: []*analysis.Analyzer{facts},
+		Run:      func(*analysis.Pass) (any, error) { return nil, nil },
+	}
+	for _, a := range []*analysis.Analyzer{facts, consumer} {
+		err := runAnalyzer(a, nil, nil, map[*analysis.Analyzer]any{}, nil)
+		if err == nil || !strings.Contains(err.Error(), "analyzer metafacts declares FactTypes") {
+			t.Errorf("running %s: got error %v, want one naming metafacts", a.Name, err)
 		}
-		pass.ExportPackageFact(&countFact{N: n})
-		return nil, nil
-	},
-}
-
-// consumer requires tagger and reports every fact it can import back, so
-// the fixture's want comments fail unless facts flow across the chain.
-var consumer = &analysis.Analyzer{
-	Name:     "metaconsumer",
-	Doc:      "import facts exported by metatagger and report them",
-	Requires: []*analysis.Analyzer{tagger},
-	Run: func(pass *analysis.Pass) (any, error) {
-		scope := pass.Pkg.Scope()
-		for _, name := range scope.Names() {
-			fn, ok := scope.Lookup(name).(*types.Func)
-			if !ok {
-				continue
-			}
-			var f tagFact
-			if pass.ImportObjectFact(fn, &f) {
-				pass.Reportf(fn.Pos(), "fact tagged on %s", f.Label)
-			}
-		}
-		var c countFact
-		if pass.ImportPackageFact(pass.Pkg, &c) {
-			if obj := scope.Lookup("Count"); obj != nil {
-				pass.Reportf(obj.Pos(), "package fact counts %d tagged funcs", c.N)
-			}
-		}
-		if got := len(pass.AllObjectFacts()); got != c.N {
-			pass.Reportf(token.NoPos, "AllObjectFacts returned %d facts, want %d", got, c.N)
-		}
-		return nil, nil
-	},
-}
-
-// TestFactPlumbing drives the exporter/consumer pair over the facts
-// fixture: its wants only match when object and package facts survive the
-// store's gob round trip.
-func TestFactPlumbing(t *testing.T) {
-	linttest.Run(t, consumer, "facts")
-}
-
-// unregistered exports a fact type missing from FactTypes; the harness
-// must reject that the same way a real driver does.
-var unregistered = &analysis.Analyzer{
-	Name: "metaunregistered",
-	Doc:  "export a fact without registering its type",
-	Run: func(pass *analysis.Pass) (any, error) {
-		scope := pass.Pkg.Scope()
-		for _, name := range scope.Names() {
-			if fn, ok := scope.Lookup(name).(*types.Func); ok {
-				pass.ExportObjectFact(fn, &tagFact{Label: name})
-				break
-			}
-		}
-		return nil, nil
-	},
-}
-
-func TestUnregisteredFactPanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("exporting an unregistered fact type did not panic")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "not registered in FactTypes") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	linttest.Run(t, unregistered, "facts")
+	}
 }

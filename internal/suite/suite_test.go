@@ -1,6 +1,9 @@
 package suite
 
 import (
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -101,6 +104,34 @@ func TestSuiteTemplatesOptimizeAndShowPlanDiversity(t *testing.T) {
 		t.Errorf("only %.0f%% of templates show plan diversity; PQO evaluation needs more", frac*100)
 	}
 	t.Logf("plan diversity: %d/%d templates with >= 2 optimal plans", diverse, len(entries))
+}
+
+// TestSuiteDoc checks docs/SUITE.md's template table against the suite:
+// one row per template, in Build's order, giving its name, d, catalog and
+// SQL.
+func TestSuiteDoc(t *testing.T) {
+	entries, _ := buildSuite(t)
+	data, err := os.ReadFile("../../docs/SUITE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.Contains(line, " d=") && strings.Contains(line, " catalog=") {
+			rows = append(rows, line)
+		}
+	}
+	if len(rows) != len(entries) {
+		t.Errorf("docs/SUITE.md has %d template rows, the suite %d templates", len(rows), len(entries))
+	}
+	for i := 0; i < min(len(rows), len(entries)); i++ {
+		e := entries[i]
+		want := fmt.Sprintf("%-24s d=%-2d catalog=%-12s %s",
+			e.Tpl.Name, e.Tpl.Dimensions(), e.Tpl.Catalog.Name, e.Tpl.SQL())
+		if rows[i] != want {
+			t.Errorf("docs/SUITE.md row %d:\n got  %s\n want %s", i+1, rows[i], want)
+		}
+	}
 }
 
 // BenchmarkNewSystems measures set-up: the four evaluation systems plus

@@ -1,12 +1,12 @@
 #!/bin/sh
-# Tier-1 verification: gofmt, vet, build, run the full test suite, re-run the
-# concurrency-sensitive packages under the race detector, and run
-# planbench's own tests. The experiment reproduction tests are
+# Tier-1 verification: gofmt, the docs' go command paths, vet, build, run
+# the full test suite, re-run the concurrency-sensitive packages under the
+# race detector, and run planbench's own tests. The experiment reproduction tests are
 # minutes-long already and ~10x slower under -race (they exceed go test's
 # per-package timeout on small machines), so the race pass targets the
 # packages with concurrent hot paths.
 #
-#   ./scripts/check.sh          # gofmt + vet + build + tests + race pass + planbench
+#   ./scripts/check.sh          # gofmt + doc paths + vet + build + tests + race pass + planbench
 #   ./scripts/check.sh -lint    # additionally run pqolint + extra analyzers
 #   ./scripts/check.sh -bench   # additionally diff pqobench against its golden
 #                               # output and run the same-run benchmark gates
@@ -27,6 +27,25 @@ unformatted=$(git ls-files -- '*.go' ':(exclude)vendor/**' ':(exclude)**/vendor/
 if [ -n "$unformatted" ]; then
     echo "check.sh: FAIL gofmt -l lists:"
     echo "$unformatted"
+    exit 1
+fi
+# Docs may not name a deleted program: each ./path that a `go run`,
+# `build`, `test`, `vet` or `install` command names in a tracked Markdown
+# file, shell script or workflow must exist. The change log, roadmap,
+# issue and snippet files record history or other repositories, so they
+# are not read.
+stale=$(git ls-files -- '*.md' '*.sh' '*.yml' ':(exclude)vendor/**' \
+        ':(exclude)CHANGES.md' ':(exclude)ROADMAP.md' ':(exclude)ISSUE.md' \
+        ':(exclude)SNIPPETS.md' |
+    xargs grep -noE '\bgo (run|build|test|vet|install)\b[^`;|&)]*' |
+    while IFS= read -r hit; do
+        for p in $(printf '%s\n' "${hit#*:*:}" | grep -oE '\./[A-Za-z0-9_.-][A-Za-z0-9_./-]*'); do
+            [ -e "${p%/...}" ] || echo "  ${hit%%:go *}: $p"
+        done
+    done)
+if [ -n "$stale" ]; then
+    echo "check.sh: FAIL go commands in docs name paths that do not exist:"
+    echo "$stale"
     exit 1
 fi
 go vet ./...
