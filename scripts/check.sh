@@ -31,12 +31,12 @@ if [ -n "$unformatted" ]; then
 fi
 # Docs may not name a deleted program: each ./path that a `go run`,
 # `build`, `test`, `vet` or `install` command names in a tracked Markdown
-# file, shell script or workflow must exist. The change log, roadmap,
-# issue and snippet files record history or other repositories, so they
-# are not read.
-stale=$(git ls-files -- '*.md' '*.sh' '*.yml' ':(exclude)vendor/**' \
-        ':(exclude)CHANGES.md' ':(exclude)ROADMAP.md' ':(exclude)ISSUE.md' \
-        ':(exclude)SNIPPETS.md' |
+# file, shell script or workflow must exist. Of the top-level Markdown
+# files only README, DESIGN and EXPERIMENTS describe the current tree;
+# the others record history, plans or other repositories, so they are
+# not read.
+stale=$(git ls-files -- README.md DESIGN.md EXPERIMENTS.md '*/*.md' '*.sh' '*.yml' \
+        ':(exclude)vendor/**' |
     xargs grep -noE '\bgo (run|build|test|vet|install)\b[^`;|&)]*' |
     while IFS= read -r hit; do
         for p in $(printf '%s\n' "${hit#*:*:}" | grep -oE '\./[A-Za-z0-9_.-][A-Za-z0-9_./-]*'); do
